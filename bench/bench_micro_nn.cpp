@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "nn/classifier.h"
+#include "nn/lstm_classifier.h"
 #include "util/rng.h"
 
 namespace {
@@ -35,6 +36,27 @@ void BM_Matmul(benchmark::State& state) {
   state.SetItemsProcessed(state.iterations() * 2L * n * n * n);
 }
 BENCHMARK(BM_Matmul)->Arg(64)->Arg(128)->Arg(256);
+
+// A (n x k) times Bᵀ for B (m x k): the LSTM backward's input and
+// recurrent products. 870x512x128 is the first layer's dh_{t-1} over the
+// Fig. 9 sweep's 870 test windows; 64 and 1 rows bracket the kernel's
+// Bᵀ-staging threshold.
+void BM_MatmulNt(benchmark::State& state) {
+  const auto n = static_cast<int>(state.range(0));
+  const auto k = static_cast<int>(state.range(1));
+  const auto m = static_cast<int>(state.range(2));
+  util::Rng rng(7);
+  const nn::Matrix a = random_matrix(n, k, rng);
+  const nn::Matrix b = random_matrix(m, k, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(nn::matmul_nt(a, b));
+  }
+  state.SetItemsProcessed(state.iterations() * 2L * n * k * m);
+}
+BENCHMARK(BM_MatmulNt)
+    ->Args({870, 512, 128})
+    ->Args({64, 512, 128})
+    ->Args({1, 512, 128});
 
 void BM_MlpForward(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));
@@ -104,7 +126,8 @@ void BM_LstmInputGradient(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_LstmInputGradient)->Arg(64);
+// 870 is the Fig. 9 sweep's test-set size: one FGSM curve's gradient.
+BENCHMARK(BM_LstmInputGradient)->Arg(1)->Arg(64)->Arg(870);
 
 }  // namespace
 

@@ -1,8 +1,5 @@
 #include "attack/blackbox.h"
 
-#include <sstream>
-
-#include "nn/serialize.h"
 #include "obs/events.h"
 #include "obs/span.h"
 #include "util/contracts.h"
@@ -78,21 +75,6 @@ nn::Tensor3 SubstituteAttack::craft(const nn::Tensor3& scaled_x,
 nn::Classifier& SubstituteAttack::substitute() {
   expects(fitted(), "substitute not fitted");
   return *substitute_;
-}
-
-std::unique_ptr<SubstituteAttack> SubstituteAttack::clone() const {
-  auto out = std::make_unique<SubstituteAttack>(config_);
-  if (substitute_ == nullptr) return out;
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  const auto src_params = substitute_->params();
-  nn::save_params(buf, src_params);
-  util::Rng rng(config_.seed, 0x53554253u /* 'SUBS' */);
-  out->substitute_ = std::make_unique<nn::MlpClassifier>(
-      substitute_->time_steps(), substitute_->features(), config_.hidden,
-      substitute_->num_classes(), rng);
-  const auto dst_params = out->substitute_->params();
-  nn::load_params(buf, dst_params);
-  return out;
 }
 
 }  // namespace cpsguard::attack

@@ -46,12 +46,6 @@ class SubstituteAttack {
 
   [[nodiscard]] nn::Classifier& substitute();
 
-  /// Deep copy (config + substitute weights). FGSM crafting mutates the
-  /// substitute's layer caches, so parallel per-epsilon sweeps clone the
-  /// fitted attacker instead of sharing it; identical weights keep the
-  /// crafted perturbations bit-identical to a serial run.
-  [[nodiscard]] std::unique_ptr<SubstituteAttack> clone() const;
-
  private:
   SubstituteConfig config_;
   std::unique_ptr<nn::Classifier> substitute_;

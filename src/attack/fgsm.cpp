@@ -6,11 +6,22 @@
 
 namespace cpsguard::attack {
 
-nn::Tensor3 fgsm_attack(nn::Classifier& clf, const nn::Tensor3& scaled_x,
-                        std::span<const int> labels, const FgsmConfig& config) {
-  expects(config.epsilon >= 0.0, "epsilon must be non-negative");
+nn::Tensor3 fgsm_gradient(nn::Classifier& clf, const nn::Tensor3& scaled_x,
+                          std::span<const int> labels) {
   expects(scaled_x.batch() == static_cast<int>(labels.size()),
           "one label per window required");
+  static obs::Counter& gradients =
+      obs::Registry::instance().counter("attack.fgsm.gradients");
+  gradients.increment();
+  return clf.loss_input_gradient(scaled_x, labels);
+}
+
+nn::Tensor3 fgsm_apply(const nn::Tensor3& scaled_x, const nn::Tensor3& grad,
+                       const FgsmConfig& config) {
+  expects(config.epsilon >= 0.0, "epsilon must be non-negative");
+  expects(grad.batch() == scaled_x.batch() && grad.time() == scaled_x.time() &&
+              grad.features() == scaled_x.features(),
+          "gradient shape must match the input");
 
   static obs::Counter& calls =
       obs::Registry::instance().counter("attack.fgsm.calls");
@@ -21,14 +32,14 @@ nn::Tensor3 fgsm_attack(nn::Classifier& clf, const nn::Tensor3& scaled_x,
   calls.increment();
   windows.add(static_cast<std::uint64_t>(scaled_x.batch()));
 
-  nn::Tensor3 grad = clf.loss_input_gradient(scaled_x, labels);
   // Δx = ε · sign(∇x J)
-  auto g = grad.data();
+  nn::Tensor3 delta = grad;
+  auto g = delta.data();
   const auto eps = static_cast<float>(config.epsilon);
   for (float& v : g) {
     v = v > 0.0f ? eps : (v < 0.0f ? -eps : 0.0f);
   }
-  apply_feature_mask(grad, config.mask);
+  apply_feature_mask(delta, config.mask);
 
   nn::Tensor3 adv = scaled_x;
   auto a = adv.data();
@@ -41,6 +52,12 @@ nn::Tensor3 fgsm_attack(nn::Classifier& clf, const nn::Tensor3& scaled_x,
   ensures(linf <= config.epsilon + 1e-4,
           "FGSM must respect the L-infinity budget");
   return adv;
+}
+
+nn::Tensor3 fgsm_attack(nn::Classifier& clf, const nn::Tensor3& scaled_x,
+                        std::span<const int> labels, const FgsmConfig& config) {
+  expects(config.epsilon >= 0.0, "epsilon must be non-negative");
+  return fgsm_apply(scaled_x, fgsm_gradient(clf, scaled_x, labels), config);
 }
 
 }  // namespace cpsguard::attack

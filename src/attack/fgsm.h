@@ -18,9 +18,21 @@ struct FgsmConfig {
   FeatureMask mask = FeatureMask::kAll;  // paper: sensors + commands
 };
 
-/// Craft adversarial windows against `clf`. `labels` are the true labels
-/// used in the loss J (untargeted attack: move away from the truth).
+/// The gradient step, ∇_x J(x, y). It does not depend on ε, so a sweep
+/// over ε computes it once per curve and applies each ε to it. This is the
+/// one place FGSM computes an input gradient (counter attack.fgsm.gradients).
+nn::Tensor3 fgsm_gradient(nn::Classifier& clf, const nn::Tensor3& scaled_x,
+                          std::span<const int> labels);
+
+/// The apply-ε step: x + ε · sign(grad) on the masked features, with the
+/// attack.fgsm.* counters and event bumped once per call.
 /// Postcondition: ‖x_adv − x‖∞ ≤ ε.
+nn::Tensor3 fgsm_apply(const nn::Tensor3& scaled_x, const nn::Tensor3& grad,
+                       const FgsmConfig& config);
+
+/// Craft adversarial windows against `clf`: fgsm_apply(fgsm_gradient(...)).
+/// `labels` are the true labels used in the loss J (untargeted attack: move
+/// away from the truth).
 nn::Tensor3 fgsm_attack(nn::Classifier& clf, const nn::Tensor3& scaled_x,
                         std::span<const int> labels, const FgsmConfig& config);
 

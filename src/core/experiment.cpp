@@ -518,7 +518,8 @@ EvalResult Experiment::evaluate_under_blackbox(const MonitorVariant& v,
 
 std::vector<EvalResult> Experiment::run_checkpointed_sweep(
     const char* kind, const MonitorVariant& v, std::span<const double> params,
-    std::uint64_t extra, const std::function<EvalResult(int)>& compute_point) {
+    std::uint64_t extra, const std::function<void()>& prepare,
+    const std::function<EvalResult(int)>& compute_point) {
   const int n = static_cast<int>(params.size());
   std::vector<EvalResult> out(static_cast<std::size_t>(n));
   std::vector<char> done(static_cast<std::size_t>(n), 0);
@@ -539,6 +540,12 @@ std::vector<EvalResult> Experiment::run_checkpointed_sweep(
       util::log_info("sweep.", kind, " ", v.name(), ": resumed ", resumed, "/",
                      n, " points from ", checkpoint_store_->dir());
     }
+  }
+  // Shared per-curve work (the FGSM input gradient) runs once, serially,
+  // and only when some point still has to be computed.
+  if (prepare && std::find(done.begin(), done.end(), 0) != done.end()) {
+    util::check_deadline(kind);
+    prepare();
   }
   util::parallel_for(n, [&](int i) {
     const auto si = static_cast<std::size_t>(i);
@@ -577,7 +584,7 @@ std::vector<EvalResult> Experiment::evaluate_under_gaussian_sweep(
                      obs::f("points", static_cast<int>(sigma_factors.size())));
 
   return run_checkpointed_sweep(
-      "gaussian", v, sigma_factors, noise_seed, [&](int i) {
+      "gaussian", v, sigma_factors, noise_seed, /*prepare=*/{}, [&](int i) {
         const auto si = static_cast<std::size_t>(i);
         // Forward passes mutate layer caches → one clone per sweep point. The
         // noise RNG is keyed on the seed alone (not the point index), exactly
@@ -613,15 +620,22 @@ std::vector<EvalResult> Experiment::evaluate_under_fgsm_sweep(
   CPSGUARD_OBS_EVENT("sweep.fgsm", obs::f("model", v.name()),
                      obs::f("points", static_cast<int>(epsilons.size())));
 
+  // The input gradient does not depend on ε: one per curve, then every
+  // point applies its ε to it. Points still predict on their own clone
+  // because forward passes mutate layer caches.
+  nn::Tensor3 grad;
   return run_checkpointed_sweep(
-      "fgsm", v, epsilons, static_cast<std::uint64_t>(mask), [&](int i) {
+      "fgsm", v, epsilons, static_cast<std::uint64_t>(mask),
+      [&] {
+        grad = attack::fgsm_gradient(mon.classifier(), scaled, test.labels);
+      },
+      [&](int i) {
         const auto si = static_cast<std::size_t>(i);
         const std::unique_ptr<monitor::MlMonitor> local = mon.clone();
         attack::FgsmConfig fc;
         fc.epsilon = epsilons[si];
         fc.mask = mask;
-        const nn::Tensor3 adv =
-            attack::fgsm_attack(local->classifier(), scaled, test.labels, fc);
+        const nn::Tensor3 adv = attack::fgsm_apply(scaled, grad, fc);
         const std::vector<int> preds = local->predict_scaled(adv);
         EvalResult r;
         r.confusion =
@@ -634,7 +648,6 @@ std::vector<EvalResult> Experiment::evaluate_under_fgsm_sweep(
 std::vector<EvalResult> Experiment::evaluate_under_blackbox_sweep(
     const MonitorVariant& v, std::span<const double> epsilons) {
   monitor::MlMonitor& mon = monitor(v);
-  attack::SubstituteAttack& sub = substitute_for(v);
   const std::vector<int>& clean = clean_predictions(v);
   const nn::Tensor3& scaled = scaled_test_input(v);
   const monitor::Dataset& test = data_->test;
@@ -646,15 +659,22 @@ std::vector<EvalResult> Experiment::evaluate_under_blackbox_sweep(
   CPSGUARD_OBS_EVENT("sweep.blackbox", obs::f("model", v.name()),
                      obs::f("points", static_cast<int>(epsilons.size())));
 
+  // As for white-box FGSM, but the gradient is the substitute's (what
+  // SubstituteAttack::craft computes), fitted only if a point is missing.
+  nn::Tensor3 grad;
   return run_checkpointed_sweep(
-      "blackbox", v, epsilons, /*extra=*/0, [&](int i) {
+      "blackbox", v, epsilons, /*extra=*/0,
+      [&] {
+        grad = attack::fgsm_gradient(substitute_for(v).substitute(), scaled,
+                                     clean);
+      },
+      [&](int i) {
         const auto si = static_cast<std::size_t>(i);
-        const std::unique_ptr<monitor::MlMonitor> local_mon = mon.clone();
-        const std::unique_ptr<attack::SubstituteAttack> local_sub = sub.clone();
+        const std::unique_ptr<monitor::MlMonitor> local = mon.clone();
         attack::FgsmConfig fc;
         fc.epsilon = epsilons[si];
-        const nn::Tensor3 adv = local_sub->craft(scaled, clean, fc);
-        const std::vector<int> preds = local_mon->predict_scaled(adv);
+        const nn::Tensor3 adv = attack::fgsm_apply(scaled, grad, fc);
+        const std::vector<int> preds = local->predict_scaled(adv);
         EvalResult r;
         r.confusion =
             eval::evaluate_with_tolerance(test, preds, config_.tolerance_delta);

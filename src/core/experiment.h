@@ -168,9 +168,12 @@ class Experiment {
                                      double epsilon);
 
   /// Sweep variants of the three perturbation evaluations. Each hydrates
-  /// the memoized state (monitor, clean predictions, scaled test input,
-  /// substitute) once, then evaluates the sweep points in parallel on the
-  /// shared pool, giving every point its own monitor/substitute clone.
+  /// the memoized state (monitor, clean predictions, scaled test input)
+  /// once, then evaluates the sweep points in parallel on the shared pool,
+  /// giving every point its own monitor clone. The FGSM and black-box
+  /// sweeps compute their ε-independent input gradient once per curve,
+  /// before the fan-out (the black-box one on the memoized substitute), and
+  /// skip it when every point resumes from the checkpoint store.
   /// Results are bit-identical to calling the pointwise methods in a loop:
   /// clones carry identical weights and each point re-derives the same RNG
   /// stream the pointwise method would use.
@@ -231,11 +234,13 @@ class Experiment {
       const MonitorVariant& variant);
   void snapshot_model(const MonitorVariant& variant,
                       const monitor::MlMonitor& mon);
-  /// Shared engine of the three sweeps: checkpoint prefill, parallel
+  /// Shared engine of the three sweeps: checkpoint prefill, then
+  /// `prepare` (may be empty) once if any point is missing, then parallel
   /// fan-out with retry + chaos seam + deadline polling, checkpoint put.
   std::vector<EvalResult> run_checkpointed_sweep(
       const char* kind, const MonitorVariant& variant,
       std::span<const double> params, std::uint64_t extra,
+      const std::function<void()>& prepare,
       const std::function<EvalResult(int)>& compute_point);
 
   ExperimentConfig config_;

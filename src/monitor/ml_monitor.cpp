@@ -4,6 +4,7 @@
 #include <sstream>
 
 #include "nn/gru_classifier.h"
+#include "nn/lstm_classifier.h"
 #include "nn/serialize.h"
 #include "obs/events.h"
 #include "obs/span.h"

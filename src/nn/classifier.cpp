@@ -91,83 +91,4 @@ Tensor3 MlpClassifier::loss_input_gradient(const Tensor3& x,
 
 std::vector<Param*> MlpClassifier::params() { return net_.params(); }
 
-LstmClassifier::LstmClassifier(int time_steps, int features,
-                               std::vector<int> hidden, int classes,
-                               util::Rng& rng)
-    : time_steps_(time_steps), features_(features), classes_(classes),
-      hidden_(std::move(hidden)) {
-  expects(time_steps > 0 && features > 0 && classes >= 2, "bad LSTM dimensions");
-  expects(!hidden_.empty(), "LSTM stack needs at least one layer");
-  int in = features;
-  for (int h : hidden_) {
-    expects(h > 0, "hidden size must be positive");
-    lstms_.push_back(std::make_unique<LstmLayer>(in, h, rng));
-    in = h;
-  }
-  head_.add(std::make_unique<Dense>(in, classes, rng));
-}
-
-std::string LstmClassifier::arch() const {
-  std::string s = "LSTM(";
-  for (std::size_t i = 0; i < hidden_.size(); ++i) {
-    if (i) s += '-';
-    s += std::to_string(hidden_[i]);
-  }
-  return s + ")";
-}
-
-Matrix LstmClassifier::encode(const Tensor3& x) {
-  expects(x.time() == time_steps_ && x.features() == features_,
-          "LSTM: window shape mismatch");
-  Tensor3 h = x;
-  for (auto& lstm : lstms_) h = lstm->forward(h);
-  return h.time_slice(h.time() - 1);
-}
-
-Tensor3 LstmClassifier::decode_gradient(const Matrix& dh_last) {
-  Tensor3 dh(dh_last.rows(), time_steps_, lstms_.back()->hidden_size());
-  dh.set_time_slice(time_steps_ - 1, dh_last);
-  for (auto it = lstms_.rbegin(); it != lstms_.rend(); ++it) {
-    dh = (*it)->backward(dh);
-  }
-  return dh;
-}
-
-Matrix LstmClassifier::predict_proba(const Tensor3& x) {
-  return softmax_rows(head_.forward(encode(x), /*training=*/false));
-}
-
-double LstmClassifier::accumulate_gradients(
-    const Tensor3& x, std::span<const int> labels,
-    std::span<const float> semantic_targets, const Loss& loss) {
-  expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
-  const Matrix logits = head_.forward(encode(x), /*training=*/true);
-  const LossResult lr = loss.compute(logits, labels, semantic_targets);
-  const Matrix dh_last = head_.backward(lr.dlogits);
-  decode_gradient(dh_last);
-  return lr.loss;
-}
-
-Tensor3 LstmClassifier::loss_input_gradient(const Tensor3& x,
-                                            std::span<const int> labels) {
-  expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
-  zero_grad();
-  const Matrix logits = head_.forward(encode(x), /*training=*/false);
-  const SoftmaxCrossEntropy ce;
-  const LossResult lr = ce.compute(logits, labels, {});
-  const Matrix dh_last = head_.backward(lr.dlogits);
-  Tensor3 dx = decode_gradient(dh_last);
-  zero_grad();
-  return dx;
-}
-
-std::vector<Param*> LstmClassifier::params() {
-  std::vector<Param*> out;
-  for (auto& lstm : lstms_) {
-    for (Param* p : lstm->params()) out.push_back(p);
-  }
-  for (Param* p : head_.params()) out.push_back(p);
-  return out;
-}
-
 }  // namespace cpsguard::nn

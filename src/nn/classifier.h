@@ -1,20 +1,19 @@
 // Classifier: the common interface the monitors, attacks and evaluation code
-// program against. Both architectures consume [batch, time, features]
-// windows; the MLP flattens them, the LSTM consumes them sequentially.
+// program against. Every architecture consumes [batch, time, features]
+// windows; the MLP flattens them, the recurrent ones consume them
+// sequentially.
 //
 // The interface deliberately exposes `loss_input_gradient` — the gradient of
 // the cross-entropy loss with respect to the *input window* — because FGSM
 // (Eq. 3-4 of the paper) is defined in terms of exactly that quantity.
 #pragma once
 
-#include <memory>
 #include <span>
 #include <string>
 #include <vector>
 
 #include "nn/feedforward.h"
 #include "nn/loss.h"
-#include "nn/lstm.h"
 #include "nn/optimizer.h"
 #include "nn/tensor3.h"
 #include "util/rng.h"
@@ -87,39 +86,7 @@ class MlpClassifier : public Classifier {
   FeedForward net_;
 };
 
-/// Stacked LSTM with a dense softmax head on the last hidden state.
-/// Paper architecture: LSTM(128)-LSTM(64)-Dense(C)-softmax, time step 6.
-class LstmClassifier : public Classifier {
- public:
-  LstmClassifier(int time_steps, int features, std::vector<int> hidden,
-                 int classes, util::Rng& rng);
-
-  [[nodiscard]] int num_classes() const override { return classes_; }
-  [[nodiscard]] int time_steps() const override { return time_steps_; }
-  [[nodiscard]] int features() const override { return features_; }
-  [[nodiscard]] std::string arch() const override;
-
-  Matrix predict_proba(const Tensor3& x) override;
-  double accumulate_gradients(const Tensor3& x, std::span<const int> labels,
-                              std::span<const float> semantic_targets,
-                              const Loss& loss) override;
-  Tensor3 loss_input_gradient(const Tensor3& x,
-                              std::span<const int> labels) override;
-  std::vector<Param*> params() override;
-
- private:
-  /// Forward through the LSTM stack; returns the last hidden state and keeps
-  /// per-layer caches for backward.
-  Matrix encode(const Tensor3& x);
-  /// Backward from a gradient on the last hidden state to the input.
-  Tensor3 decode_gradient(const Matrix& dh_last);
-
-  int time_steps_;
-  int features_;
-  int classes_;
-  std::vector<int> hidden_;
-  std::vector<std::unique_ptr<LstmLayer>> lstms_;
-  FeedForward head_;
-};
+// The recurrent classifiers (LstmClassifier, GruClassifier) live in
+// nn/lstm_classifier.h and nn/gru_classifier.h.
 
 }  // namespace cpsguard::nn

@@ -73,7 +73,7 @@ Tensor3 GruLayer::forward(const Tensor3& x) {
   return out;
 }
 
-Tensor3 GruLayer::backward(const Tensor3& dh_all) {
+Tensor3 GruLayer::backward(const Tensor3& dh_all, bool accumulate_param_grads) {
   const int steps = static_cast<int>(cache_.size());
   expects(steps > 0, "GRU backward requires a prior forward");
   expects(dh_all.batch() == cached_batch_ && dh_all.time() == steps &&
@@ -122,13 +122,15 @@ Tensor3 GruLayer::backward(const Tensor3& dh_all) {
       }
     }
 
-    wx_.grad.add_in_place(matmul_tn(sc.x, da));
-    bx_.grad.add_in_place(da.column_sums());
-    wh_.grad.add_in_place(matmul_tn(sc.h_prev, dah));
-    bh_.grad.add_in_place(dah.column_sums());
+    if (accumulate_param_grads) {
+      wx_.grad.add_in_place(matmul_tn(sc.x, da));
+      bx_.grad.add_in_place(da.column_sums());
+      wh_.grad.add_in_place(matmul_tn(sc.h_prev, dah));
+      bh_.grad.add_in_place(dah.column_sums());
+    }
 
     dx.set_time_slice(t, matmul_nt(da, wx_.value));
-    dh_prev.add_in_place(matmul_nt(dah, wh_.value));
+    if (t > 0) dh_prev.add_in_place(matmul_nt(dah, wh_.value));  // dh_{-1} is never read
     dh_next = std::move(dh_prev);
   }
   return dx;

@@ -28,7 +28,9 @@ class GruLayer {
   Tensor3 forward(const Tensor3& x);
 
   /// BPTT. `dh` holds dLoss/dh_t for every timestep; returns dLoss/dx.
-  Tensor3 backward(const Tensor3& dh);
+  /// With `accumulate_param_grads` false the weight-gradient products are
+  /// skipped (see LstmLayer::backward).
+  Tensor3 backward(const Tensor3& dh, bool accumulate_param_grads = true);
 
   [[nodiscard]] std::vector<Param*> params();
 

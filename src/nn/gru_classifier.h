@@ -1,5 +1,6 @@
 // Stacked-GRU classifier with a dense softmax head — the GRU counterpart of
-// LstmClassifier, built on the generic RecurrentClassifier.
+// LstmClassifier (nn/lstm_classifier.h), built on the generic
+// RecurrentClassifier.
 #pragma once
 
 #include "nn/gru.h"

@@ -77,7 +77,7 @@ Tensor3 LstmLayer::forward(const Tensor3& x) {
   return out;
 }
 
-Tensor3 LstmLayer::backward(const Tensor3& dh_all) {
+Tensor3 LstmLayer::backward(const Tensor3& dh_all, bool accumulate_param_grads) {
   const int steps = static_cast<int>(cache_.size());
   expects(steps > 0, "LSTM backward requires a prior forward");
   expects(dh_all.batch() == cached_batch_ && dh_all.time() == steps &&
@@ -124,12 +124,14 @@ Tensor3 LstmLayer::backward(const Tensor3& dh_all) {
       }
     }
 
-    wx_.grad.add_in_place(matmul_tn(sc.x, da));
-    wh_.grad.add_in_place(matmul_tn(sc.h_prev, da));
-    b_.grad.add_in_place(da.column_sums());
+    if (accumulate_param_grads) {
+      wx_.grad.add_in_place(matmul_tn(sc.x, da));
+      wh_.grad.add_in_place(matmul_tn(sc.h_prev, da));
+      b_.grad.add_in_place(da.column_sums());
+    }
 
     dx.set_time_slice(t, matmul_nt(da, wx_.value));
-    dh_next = matmul_nt(da, wh_.value);
+    if (t > 0) dh_next = matmul_nt(da, wh_.value);  // dh_{-1} is never read
     dc_next = dc_prev;
   }
   return dx;

@@ -29,8 +29,10 @@ class LstmLayer {
 
   /// BPTT. `dh` holds dLoss/dh_t for every timestep ([batch, T, hidden]);
   /// callers that only use the last hidden state pass zeros elsewhere.
-  /// Returns dLoss/dx ([batch, T, input]).
-  Tensor3 backward(const Tensor3& dh);
+  /// Returns dLoss/dx ([batch, T, input]). With `accumulate_param_grads`
+  /// false the weight-gradient products are skipped and every Param::grad
+  /// is left untouched; dx is bit-identical either way.
+  Tensor3 backward(const Tensor3& dh, bool accumulate_param_grads = true);
 
   [[nodiscard]] std::vector<Param*> params();
 

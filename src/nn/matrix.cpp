@@ -193,6 +193,8 @@ namespace {
 // machine actually has cores to use. ~4M flops is ~0.1 ms of kernel time.
 constexpr double kParallelFlopThreshold = 4.0e6;
 constexpr int kRowsPerShard = 16;
+// Fewest A rows for which matmul_nt stages Bᵀ for the SIMD kernel.
+constexpr int kStageTransposeMinRows = 2;
 
 bool worth_parallelizing(int n, int k, int m) {
   return 2.0 * n * k * m >= kParallelFlopThreshold && n >= 2 * kRowsPerShard &&
@@ -412,6 +414,32 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
   const float* ad = a.data().data();
   const float* bd = b.data().data();
   float* cd = c.data().data();
+  // The SIMD kernel reads Bᵀ. Staging it costs k*m copies, as much as one
+  // output row of arithmetic, so a short A keeps the portable kernel. Both
+  // kernels round every element identically (see simd_kernels.h).
+  const MatmulNtRowsFn simd = simd_matmul_nt_rows();
+  if (simd != nullptr && n >= kStageTransposeMinRows) {
+    const int ldb = (m + kMatmulNtColumnPad - 1) / kMatmulNtColumnPad *
+                    kMatmulNtColumnPad;
+    // One buffer per calling thread, reused across calls: a fresh one
+    // costs page faults comparable to the transpose itself.
+    thread_local std::vector<float> bt;
+    bt.resize(static_cast<std::size_t>(k) * ldb);
+    for (int j0 = 0; j0 < ldb; j0 += kMatmulNtColumnPad) {
+      for (int p = 0; p < k; ++p) {
+        float* dst = bt.data() + static_cast<std::size_t>(p) * ldb + j0;
+        for (int j = j0; j < j0 + kMatmulNtColumnPad; ++j) {
+          *dst++ = j < m ? bd[static_cast<std::size_t>(j) * k + p] : 0.0f;
+        }
+      }
+    }
+    // Workers see their own `bt`, so hand them the caller's storage.
+    const float* btd = bt.data();
+    for_row_blocks(n, k, m, [&](int r0, int r1) {
+      simd(ad, btd, cd, r0, r1, k, m, ldb);
+    });
+    return c;
+  }
   for_row_blocks(n, k, m, [&](int r0, int r1) {
     matmul_nt_rows(ad, bd, cd, r0, r1, k, m);
   });

@@ -1,8 +1,9 @@
 // Generic stacked-recurrent classifier: any cell layer exposing
-//   Tensor3 forward(const Tensor3&), Tensor3 backward(const Tensor3&),
+//   Tensor3 forward(const Tensor3&),
+//   Tensor3 backward(const Tensor3&, bool accumulate_param_grads),
 //   std::vector<Param*> params(), int hidden_size()
-// can be stacked under a dense softmax head. Instantiated for the GRU; the
-// LSTM keeps its dedicated class (the paper's primary recurrent monitor).
+// can be stacked under a dense softmax head. Instantiated for the LSTM
+// (nn/lstm_classifier.h) and the GRU (nn/gru_classifier.h).
 #pragma once
 
 #include <memory>
@@ -58,19 +59,21 @@ class RecurrentClassifier : public Classifier {
     const Matrix logits = head_.forward(encode(x), /*training=*/true);
     const LossResult lr = loss.compute(logits, labels, semantic_targets);
     const Matrix dh_last = head_.backward(lr.dlogits);
-    decode_gradient(dh_last);
+    decode_gradient(dh_last, /*accumulate_param_grads=*/true);
     return lr.loss;
   }
 
+  /// Input-only BPTT: the cells skip their weight-gradient products, which
+  /// are half the backward's arithmetic and would be zeroed anyway. Only
+  /// the small dense head accumulates, and zero_grad() clears it.
   Tensor3 loss_input_gradient(const Tensor3& x,
                               std::span<const int> labels) override {
     expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
-    zero_grad();
     const Matrix logits = head_.forward(encode(x), /*training=*/false);
     const SoftmaxCrossEntropy ce;
     const LossResult lr = ce.compute(logits, labels, {});
     const Matrix dh_last = head_.backward(lr.dlogits);
-    Tensor3 dx = decode_gradient(dh_last);
+    Tensor3 dx = decode_gradient(dh_last, /*accumulate_param_grads=*/false);
     zero_grad();
     return dx;
   }
@@ -93,11 +96,11 @@ class RecurrentClassifier : public Classifier {
     return h.time_slice(h.time() - 1);
   }
 
-  Tensor3 decode_gradient(const Matrix& dh_last) {
+  Tensor3 decode_gradient(const Matrix& dh_last, bool accumulate_param_grads) {
     Tensor3 dh(dh_last.rows(), time_steps_, cells_.back()->hidden_size());
     dh.set_time_slice(time_steps_ - 1, dh_last);
     for (auto it = cells_.rbegin(); it != cells_.rend(); ++it) {
-      dh = (*it)->backward(dh);
+      dh = (*it)->backward(dh, accumulate_param_grads);
     }
     return dh;
   }

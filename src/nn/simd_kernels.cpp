@@ -4,10 +4,16 @@
 // in CMakeLists.txt): the AVX targets have FMA, and a contracted fma(a,b,c)
 // rounds once where mul-then-add rounds twice — bitwise divergence from the
 // portable kernel. The explicit _mm512_mul_ps/_mm512_add_ps pairs and the
-// flag together guarantee the compiler never fuses.
+// flag together guarantee the compiler never fuses. The matmul_nt kernels
+// are the one deliberate exception: they accumulate exact float×float
+// products in double, where an explicit fused multiply-add rounds exactly
+// like mul-then-add (see simd_kernels.h).
 #include "nn/simd_kernels.h"
 
+#include <algorithm>
 #include <cstddef>
+#include <cstring>
+#include <vector>
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define CPSGUARD_SIMD_X86 1
@@ -79,9 +85,69 @@ namespace {
     }                                                                          \
   }
 
+// A·Bᵀ row tiles share one shape across widths: 4 output rows at a time,
+// their A values widened to double once per tile ([p][row] order, so the
+// four broadcasts of a step read adjacent doubles; missing tail rows are
+// zero and their results discarded), then column strips of the staged Bᵀ
+// accumulated over the whole reduction in registers.
+inline constexpr int kNtTileRows = 4;
+
+void widen_nt_rows(const float* a, int i, int rows, int k, double* out) {
+  for (int p = 0; p < k; ++p) {
+    for (int r = 0; r < kNtTileRows; ++r) {
+      out[static_cast<std::size_t>(p) * kNtTileRows + r] =
+          r < rows ? a[static_cast<std::size_t>(i + r) * k + p] : 0.0;
+    }
+  }
+}
+
 #pragma GCC push_options
 #pragma GCC target("avx2")
 CPSGUARD_DEFINE_MATMUL_ROWS_BODY(matmul_rows_avx2)
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+
+// 4 rows x 8 columns: two ymm of four double lanes per row. The eight
+// accumulators are named, not an array, so they stay in registers.
+void matmul_nt_rows_avx2(const float* a, const float* bt, float* c, int i0,
+                         int i1, int k, int m, int ldb) {
+  std::vector<double> aw(static_cast<std::size_t>(k) * kNtTileRows);
+  for (int i = i0; i < i1; i += kNtTileRows) {
+    const int rows = std::min(kNtTileRows, i1 - i);
+    widen_nt_rows(a, i, rows, k, aw.data());
+    for (int j = 0; j < m; j += 8) {
+      __m256d s00 = _mm256_setzero_pd(), s01 = s00, s10 = s00, s11 = s00;
+      __m256d s20 = s00, s21 = s00, s30 = s00, s31 = s00;
+      const double* u = aw.data();
+      for (int p = 0; p < k; ++p, u += kNtTileRows) {
+        const float* bp = bt + static_cast<std::size_t>(p) * ldb + j;
+        const __m256d b0 = _mm256_cvtps_pd(_mm_loadu_ps(bp));
+        const __m256d b1 = _mm256_cvtps_pd(_mm_loadu_ps(bp + 4));
+        const __m256d u0 = _mm256_broadcast_sd(u + 0);
+        const __m256d u1 = _mm256_broadcast_sd(u + 1);
+        const __m256d u2 = _mm256_broadcast_sd(u + 2);
+        const __m256d u3 = _mm256_broadcast_sd(u + 3);
+        s00 = _mm256_fmadd_pd(u0, b0, s00); s01 = _mm256_fmadd_pd(u0, b1, s01);
+        s10 = _mm256_fmadd_pd(u1, b0, s10); s11 = _mm256_fmadd_pd(u1, b1, s11);
+        s20 = _mm256_fmadd_pd(u2, b0, s20); s21 = _mm256_fmadd_pd(u2, b1, s21);
+        s30 = _mm256_fmadd_pd(u3, b0, s30); s31 = _mm256_fmadd_pd(u3, b1, s31);
+      }
+      const auto store = [&](int r, __m256d lo, __m256d hi) {
+        if (r >= rows) return;
+        alignas(32) float tile[8];
+        _mm_store_ps(tile, _mm256_cvtpd_ps(lo));
+        _mm_store_ps(tile + 4, _mm256_cvtpd_ps(hi));
+        std::memcpy(c + static_cast<std::size_t>(i + r) * m + j, tile,
+                    static_cast<std::size_t>(std::min(8, m - j)) * sizeof(float));
+      };
+      store(0, s00, s01); store(1, s10, s11);
+      store(2, s20, s21); store(3, s30, s31);
+    }
+  }
+}
+
 #pragma GCC pop_options
 
 #pragma GCC push_options
@@ -150,23 +216,71 @@ void matmul_rows_avx512(const float* __restrict a, const float* __restrict b,
   }
 }
 
+// GCC 12 flags the _mm512_undefined_* source operand inside the
+// float<->double conversion intrinsics as maybe-uninitialized.
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"
+
+// 4 rows x 16 columns: two zmm of eight double lanes per row.
+void matmul_nt_rows_avx512(const float* a, const float* bt, float* c, int i0,
+                           int i1, int k, int m, int ldb) {
+  std::vector<double> aw(static_cast<std::size_t>(k) * kNtTileRows);
+  for (int i = i0; i < i1; i += kNtTileRows) {
+    const int rows = std::min(kNtTileRows, i1 - i);
+    widen_nt_rows(a, i, rows, k, aw.data());
+    for (int j = 0; j < m; j += 16) {
+      __m512d s00 = _mm512_setzero_pd(), s01 = s00, s10 = s00, s11 = s00;
+      __m512d s20 = s00, s21 = s00, s30 = s00, s31 = s00;
+      const double* u = aw.data();
+      for (int p = 0; p < k; ++p, u += kNtTileRows) {
+        const float* bp = bt + static_cast<std::size_t>(p) * ldb + j;
+        const __m512d b0 = _mm512_cvtps_pd(_mm256_loadu_ps(bp));
+        const __m512d b1 = _mm512_cvtps_pd(_mm256_loadu_ps(bp + 8));
+        const __m512d u0 = _mm512_set1_pd(u[0]);
+        const __m512d u1 = _mm512_set1_pd(u[1]);
+        const __m512d u2 = _mm512_set1_pd(u[2]);
+        const __m512d u3 = _mm512_set1_pd(u[3]);
+        s00 = _mm512_fmadd_pd(u0, b0, s00); s01 = _mm512_fmadd_pd(u0, b1, s01);
+        s10 = _mm512_fmadd_pd(u1, b0, s10); s11 = _mm512_fmadd_pd(u1, b1, s11);
+        s20 = _mm512_fmadd_pd(u2, b0, s20); s21 = _mm512_fmadd_pd(u2, b1, s21);
+        s30 = _mm512_fmadd_pd(u3, b0, s30); s31 = _mm512_fmadd_pd(u3, b1, s31);
+      }
+      const auto store = [&](int r, __m512d lo, __m512d hi) {
+        if (r >= rows) return;
+        alignas(32) float tile[16];
+        _mm256_store_ps(tile, _mm512_cvtpd_ps(lo));
+        _mm256_store_ps(tile + 8, _mm512_cvtpd_ps(hi));
+        std::memcpy(c + static_cast<std::size_t>(i + r) * m + j, tile,
+                    static_cast<std::size_t>(std::min(16, m - j)) * sizeof(float));
+      };
+      store(0, s00, s01); store(1, s10, s11);
+      store(2, s20, s21); store(3, s30, s31);
+    }
+  }
+}
+
+#pragma GCC diagnostic pop
+
 #pragma GCC pop_options
 
 #undef CPSGUARD_DEFINE_MATMUL_ROWS_BODY
 
 struct Resolved {
   MatmulRowsFn fn;
+  MatmulNtRowsFn nt;
   const char* name;
 };
 
 Resolved resolve() {
   if (__builtin_cpu_supports("avx512f")) {
-    return {&matmul_rows_avx512, "avx512f"};
+    return {&matmul_rows_avx512, &matmul_nt_rows_avx512, "avx512f"};
   }
   if (__builtin_cpu_supports("avx2")) {
-    return {&matmul_rows_avx2, "avx2"};
+    return {&matmul_rows_avx2,
+            __builtin_cpu_supports("fma") ? &matmul_nt_rows_avx2 : nullptr,
+            "avx2"};
   }
-  return {nullptr, "portable"};
+  return {nullptr, nullptr, "portable"};
 }
 
 const Resolved& resolved() {
@@ -177,11 +291,13 @@ const Resolved& resolved() {
 }  // namespace
 
 MatmulRowsFn simd_matmul_rows() { return resolved().fn; }
+MatmulNtRowsFn simd_matmul_nt_rows() { return resolved().nt; }
 const char* simd_kernel_name() { return resolved().name; }
 
 #else  // !CPSGUARD_SIMD_X86
 
 MatmulRowsFn simd_matmul_rows() { return nullptr; }
+MatmulNtRowsFn simd_matmul_nt_rows() { return nullptr; }
 const char* simd_kernel_name() { return "portable"; }
 
 #endif

@@ -32,6 +32,26 @@ using MatmulRowsFn = void (*)(const float* a, const float* b, float* c,
 /// the portable baseline kernel is available. Resolved once per process.
 [[nodiscard]] MatmulRowsFn simd_matmul_rows();
 
+/// Column padding of the staged Bᵀ the matmul_nt kernels read: a multiple
+/// of every kernel's column tile, so tiles never run past a row.
+inline constexpr int kMatmulNtColumnPad = 16;
+
+/// Row-range A·Bᵀ kernel over a staged transpose: C[i0..i1) = A[i0..i1) Bᵀ
+/// for row-major A (n x k), C (n x m) and `bt` = Bᵀ (k x ldb, ldb a
+/// multiple of kMatmulNtColumnPad, columns m..ldb zero). It vectorises
+/// across output columns, one double accumulator per lane. Same contract as
+/// the portable matmul_nt kernel: each element sums float×float products in
+/// double, in ascending p, and rounds once to float. A float×float product
+/// is exact in double, so a fused multiply-add rounds exactly like the
+/// separate mul and add, and the kernels may use either.
+using MatmulNtRowsFn = void (*)(const float* a, const float* bt, float* c,
+                                int i0, int i1, int k, int m, int ldb);
+
+/// The widest matmul_nt kernel this CPU supports, or nullptr for the
+/// portable one. Resolved once per process, on the same CPU checks as
+/// simd_matmul_rows (plus FMA for the AVX2 kernel).
+[[nodiscard]] MatmulNtRowsFn simd_matmul_nt_rows();
+
 /// Name of the dispatched kernel for manifests and logs:
 /// "avx512f", "avx2", or "portable".
 [[nodiscard]] const char* simd_kernel_name();

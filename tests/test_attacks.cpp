@@ -7,7 +7,7 @@
 #include "attack/fgsm.h"
 #include "attack/gaussian.h"
 #include "monitor/features.h"
-#include "nn/classifier.h"
+#include "nn/lstm_classifier.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 #include "util/stats.h"

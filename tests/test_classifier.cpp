@@ -2,7 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <memory>
+
 #include "nn/gradcheck.h"
+#include "nn/gru_classifier.h"
+#include "nn/lstm_classifier.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -134,6 +139,53 @@ TEST(Classifier, InputGradientDoesNotDisturbParams) {
     EXPECT_TRUE(params[i]->value == before[i]);
     EXPECT_FLOAT_EQ(params[i]->grad.max_abs(), 0.0f);
   }
+}
+
+// loss_input_gradient leaves every Param::grad exactly zero, even when
+// the grads held an earlier accumulation: the recurrent cells skip their
+// weight-gradient products and zero_grad() clears the dense head.
+TEST(Classifier, InputGradientLeavesEveryParamGradExactlyZero) {
+  util::Rng rng(21);
+  std::vector<std::unique_ptr<Classifier>> clfs;
+  clfs.push_back(std::make_unique<MlpClassifier>(3, 4, std::vector<int>{8}, 2, rng));
+  clfs.push_back(std::make_unique<LstmClassifier>(3, 4, std::vector<int>{8, 6}, 2, rng));
+  clfs.push_back(std::make_unique<GruClassifier>(3, 4, std::vector<int>{8, 6}, 2, rng));
+  util::Rng xr(22);
+  const Tensor3 x = random_tensor(5, 3, 4, xr);
+  const std::vector<int> labels = {0, 1, 1, 0, 1};
+  const SoftmaxCrossEntropy ce;
+  for (const auto& clf : clfs) {
+    clf->accumulate_gradients(x, labels, {}, ce);
+    (void)clf->loss_input_gradient(x, labels);
+    for (Param* p : clf->params()) {
+      for (const float g : p->grad.data()) {
+        ASSERT_EQ(g, 0.0f) << clf->arch() << " " << p->name;
+      }
+    }
+  }
+}
+
+// The input-only BPTT returns the same dx bits as the full one.
+template <typename Cell>
+void expect_input_only_backward_matches_full() {
+  util::Rng rng(23);
+  Cell cell(4, 6, rng);
+  util::Rng xr(24);
+  const Tensor3 x = random_tensor(9, 5, 4, xr);
+  const Tensor3 dh = random_tensor(9, 5, 6, xr);
+  cell.forward(x);
+  const Tensor3 full = cell.backward(dh);
+  for (Param* p : cell.params()) p->zero_grad();
+  cell.forward(x);
+  const Tensor3 input_only = cell.backward(dh, /*accumulate_param_grads=*/false);
+  EXPECT_TRUE(std::equal(full.data().begin(), full.data().end(),
+                         input_only.data().begin()));
+  for (Param* p : cell.params()) EXPECT_EQ(p->grad.max_abs(), 0.0f) << p->name;
+}
+
+TEST(RecurrentCells, InputOnlyBackwardMatchesFullBackward) {
+  expect_input_only_backward_matches_full<LstmLayer>();
+  expect_input_only_backward_matches_full<GruLayer>();
 }
 
 TEST(PredictClasses, PicksArgmax) {

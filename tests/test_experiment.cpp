@@ -6,6 +6,9 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "util/contracts.h"
 
@@ -228,30 +231,46 @@ TEST_F(ExperimentTest, GaussianSweepMatchesPointwise) {
   }
 }
 
+void expect_same_results(const std::vector<EvalResult>& sweep,
+                         const std::vector<EvalResult>& points,
+                         const std::string& what) {
+  ASSERT_EQ(sweep.size(), points.size()) << what;
+  for (std::size_t i = 0; i < sweep.size(); ++i) {
+    EXPECT_EQ(sweep[i].confusion.tp, points[i].confusion.tp) << what << " point " << i;
+    EXPECT_EQ(sweep[i].confusion.fp, points[i].confusion.fp) << what << " point " << i;
+    EXPECT_EQ(sweep[i].confusion.fn, points[i].confusion.fn) << what << " point " << i;
+    EXPECT_EQ(sweep[i].confusion.tn, points[i].confusion.tn) << what << " point " << i;
+    EXPECT_DOUBLE_EQ(sweep[i].robustness_err, points[i].robustness_err)
+        << what << " point " << i;
+  }
+}
+
+// The FGSM sweep computes one input gradient per curve and applies each ε
+// to it; the pointwise method computes its own. The LSTM runs the input-only
+// BPTT and the SIMD matmul_nt over all five Fig. 9 budgets.
 TEST_F(ExperimentTest, FgsmSweepMatchesPointwise) {
-  const std::vector<double> epsilons = {0.05, 0.2};
-  const auto sweep = exp_.evaluate_under_fgsm_sweep(mlp_, epsilons);
-  ASSERT_EQ(sweep.size(), epsilons.size());
-  for (std::size_t i = 0; i < epsilons.size(); ++i) {
-    const auto point = exp_.evaluate_under_fgsm(mlp_, epsilons[i]);
-    EXPECT_EQ(sweep[i].confusion.tp, point.confusion.tp) << "eps " << epsilons[i];
-    EXPECT_EQ(sweep[i].confusion.fp, point.confusion.fp) << "eps " << epsilons[i];
-    EXPECT_EQ(sweep[i].confusion.fn, point.confusion.fn) << "eps " << epsilons[i];
-    EXPECT_EQ(sweep[i].confusion.tn, point.confusion.tn) << "eps " << epsilons[i];
-    EXPECT_DOUBLE_EQ(sweep[i].robustness_err, point.robustness_err);
+  const std::vector<double> fig9_epsilons = {0.01, 0.05, 0.1, 0.15, 0.2};
+  const MonitorVariant lstm{monitor::Arch::kLstm, false};
+  for (const auto& [variant, epsilons] :
+       {std::pair{mlp_, std::vector<double>{0.05, 0.2}},
+        std::pair{lstm, fig9_epsilons}}) {
+    const auto sweep = exp_.evaluate_under_fgsm_sweep(variant, epsilons);
+    std::vector<EvalResult> points;
+    for (const double eps : epsilons) {
+      points.push_back(exp_.evaluate_under_fgsm(variant, eps));
+    }
+    expect_same_results(sweep, points, variant.name());
   }
 }
 
 TEST_F(ExperimentTest, BlackboxSweepMatchesPointwise) {
-  const std::vector<double> epsilons = {0.1};
+  const std::vector<double> epsilons = {0.05, 0.1, 0.2};
   const auto sweep = exp_.evaluate_under_blackbox_sweep(mlp_, epsilons);
-  ASSERT_EQ(sweep.size(), epsilons.size());
-  const auto point = exp_.evaluate_under_blackbox(mlp_, epsilons[0]);
-  EXPECT_EQ(sweep[0].confusion.tp, point.confusion.tp);
-  EXPECT_EQ(sweep[0].confusion.fp, point.confusion.fp);
-  EXPECT_EQ(sweep[0].confusion.fn, point.confusion.fn);
-  EXPECT_EQ(sweep[0].confusion.tn, point.confusion.tn);
-  EXPECT_DOUBLE_EQ(sweep[0].robustness_err, point.robustness_err);
+  std::vector<EvalResult> points;
+  for (const double eps : epsilons) {
+    points.push_back(exp_.evaluate_under_blackbox(mlp_, eps));
+  }
+  expect_same_results(sweep, points, mlp_.name());
 }
 
 TEST(ExperimentTrainAll, HydratesAllVariants) {

@@ -7,7 +7,7 @@
 
 #include <cmath>
 
-#include "nn/classifier.h"
+#include "nn/lstm_classifier.h"
 #include "nn/gradcheck.h"
 #include "util/contracts.h"
 #include "util/rng.h"

@@ -227,14 +227,74 @@ TEST(MatmulTn, BitIdenticalToReferenceAcrossShapes) {
 
 TEST(MatmulNt, BitIdenticalToReferenceAcrossShapes) {
   util::Rng rng(33);
+  // {870, 512, 128}, {870, 512, 9}, {870, 256, 64} and {870, 256, 128} are
+  // the LSTM backward's input and recurrent products over the Fig. 9 test
+  // set (the dispatched SIMD kernel, sharded across the pool); {1, 512, 128}
+  // is the single-window case below the Bᵀ-staging threshold; m = 9, 17
+  // and 33 leave a partial column strip at every SIMD width.
   const std::vector<std::array<int, 3>> shapes = {
-      {1, 1, 1}, {5, 8, 6}, {13, 7, 3}, {31, 19, 11}, {160, 160, 160}};
+      {1, 1, 1},       {5, 8, 6},       {13, 7, 3},      {31, 19, 11},
+      {160, 160, 160}, {870, 512, 128}, {870, 512, 9},   {870, 256, 64},
+      {870, 256, 128}, {1, 512, 128},   {6, 40, 9},      {7, 40, 17},
+      {9, 40, 33}};
   for (const auto& [n, k, m] : shapes) {
     const Matrix a = random_matrix(n, k, rng);
     const Matrix b = random_matrix(m, k, rng);
     EXPECT_TRUE(matmul_nt(a, b) == reference_matmul_nt_f64(a, b))
         << "shape " << n << "x" << k << "x" << m;
   }
+}
+
+// Double accumulation rounded to float hides most reorderings, so random
+// data cannot pin the order. Here the first two products cancel exactly
+// (2^60 - 2^60) and the rest survive only when summed after them, in
+// ascending p; any other order absorbs them into 2^60 and returns 0.
+TEST(MatmulNt, SumsInAscendingReductionOrder) {
+  util::Rng rng(36);
+  Matrix a = random_matrix(6, 24, rng);
+  Matrix b = random_matrix(17, 24, rng);
+  for (int i = 0; i < a.rows(); ++i) {
+    a.at(i, 0) = 0x1p60f;
+    a.at(i, 1) = -0x1p60f;
+  }
+  for (int j = 0; j < b.rows(); ++j) b.at(j, 0) = b.at(j, 1) = 1.0f;
+  const Matrix got = matmul_nt(a, b);
+  EXPECT_TRUE(got == reference_matmul_nt_f64(a, b));
+  EXPECT_NE(got.max_abs(), 0.0f);
+}
+
+// NaN and ±Inf through the dispatched kernel (enough rows to stage Bᵀ):
+// every element matches the reference, NaN where the reference is NaN.
+TEST(MatmulNt, PropagatesNanAndInfThroughDispatchedKernel) {
+  const float nan = std::numeric_limits<float>::quiet_NaN();
+  const float inf = std::numeric_limits<float>::infinity();
+  util::Rng rng(35);
+  Matrix a = random_matrix(9, 20, rng);
+  Matrix b = random_matrix(17, 20, rng);
+  a.at(1, 3) = nan;   // poisons row 1
+  a.at(4, 0) = inf;   // row 4: ±Inf, or NaN where a column meets 0 or -Inf
+  b.at(2, 5) = -inf;  // column 2: -Inf times each row's a(i, 5)
+  b.at(6, 7) = 0.0f;
+  a.at(7, 7) = inf;   // 0 * Inf = NaN at (7, 6)
+  const Matrix got = matmul_nt(a, b);
+  const Matrix want = reference_matmul_nt_f64(a, b);
+  int nans = 0, infs = 0;
+  for (int i = 0; i < got.rows(); ++i) {
+    for (int j = 0; j < got.cols(); ++j) {
+      const float g = got.at(i, j), w = want.at(i, j);
+      if (std::isnan(w)) {
+        EXPECT_TRUE(std::isnan(g)) << "at (" << i << "," << j << ")";
+        ++nans;
+      } else {
+        EXPECT_EQ(g, w) << "at (" << i << "," << j << ")";
+        infs += std::isinf(w) ? 1 : 0;
+      }
+    }
+  }
+  EXPECT_TRUE(std::isnan(got.at(1, 0)));
+  EXPECT_TRUE(std::isnan(got.at(7, 6)));
+  EXPECT_GT(nans, got.cols());  // row 1 and more
+  EXPECT_GT(infs, 0);
 }
 
 // The old kernels skipped a == 0.0f reduction steps, which silently

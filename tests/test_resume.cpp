@@ -13,6 +13,7 @@
 
 #include "core/checkpoint.h"
 #include "core/experiment.h"
+#include "obs/metrics.h"
 #include "util/chaos.h"
 #include "util/csv.h"
 #include "util/deadline.h"
@@ -232,6 +233,32 @@ TEST_F(ResumeTest, SweepKindsAndPointsGetDistinctRecords) {
   // 2 gaussian points + 1 fgsm point + 1 model snapshot, no collisions even
   // though sigma and epsilon share the value 0.25.
   EXPECT_EQ(record_files().size(), sigmas().size() + 2);
+}
+
+// The FGSM input gradient is computed once per curve, after the resume
+// scan and only for missing points: a fully resumed sweep computes none.
+TEST_F(ResumeTest, FullyResumedFgsmSweepComputesNoGradient) {
+  const std::vector<double> eps = {0.05, 0.2};
+  const obs::Counter& gradients =
+      obs::Registry::instance().counter("attack.fgsm.gradients");
+  std::vector<core::EvalResult> straight;
+  {
+    core::CheckpointStore store(dir_);
+    core::Experiment exp(mini_config());
+    exp.set_checkpoint_store(&store);
+    exp.monitor(kVariant);
+    const std::uint64_t before = gradients.value();
+    straight = exp.evaluate_under_fgsm_sweep(kVariant, eps);
+    EXPECT_EQ(gradients.value() - before, 1u) << "one gradient per curve";
+  }
+  core::CheckpointStore resumed(dir_);
+  core::Experiment exp(mini_config());
+  exp.set_checkpoint_store(&resumed);
+  exp.monitor(kVariant);
+  const std::uint64_t before = gradients.value();
+  expect_bit_identical(exp.evaluate_under_fgsm_sweep(kVariant, eps), straight);
+  EXPECT_EQ(gradients.value(), before);
+  EXPECT_EQ(resumed.stats().puts, 0u);
 }
 
 TEST_F(ResumeTest, ChaosRunIsByteIdenticalAndResumable) {

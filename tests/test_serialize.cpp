@@ -7,6 +7,7 @@
 #include <filesystem>
 #include <sstream>
 
+#include "nn/lstm_classifier.h"
 #include "util/error.h"
 #include "util/rng.h"
 
