@@ -21,8 +21,8 @@
 //   --deterministic B engine deterministic mode          (default false)
 //   --swap-every N    hot self-swap every N engine cycles (0 = off,
 //                     default 0) — measures steady-state cost of the
-//                     epoch-boundary swap protocol (raw-ring rescale of
-//                     every live session) without changing the verdicts
+//                     epoch-boundary swap protocol (per-shard clone and
+//                     activation) without changing the verdicts
 #include <algorithm>
 #include <chrono>
 #include <functional>
@@ -144,8 +144,8 @@ int main(int argc, char** argv) {
     serve::Engine engine(mon, cfg);
     int measured = 0;
     const auto cycle = [&](int t, bool timed) {
-      // Self-swaps are verdict-neutral (the raw-ring rescale is
-      // bit-identical to fresh ingest), so the baseline comparison stays
+      // Self-swaps are verdict-neutral (each window is scaled as it stages
+      // by the model that scores it), so the baseline comparison stays
       // exact while the swap cost lands inside the timed region.
       if (timed && swap_every > 0 && ++measured % swap_every == 0) {
         engine.stage_model(mon, engine.active_version());

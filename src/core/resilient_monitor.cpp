@@ -73,30 +73,25 @@ ResilientMonitor::ResilientMonitor(monitor::MlMonitor& ml, ResilientConfig confi
     : ml_(ml),
       rules_(config.bg_target),
       config_(config),
-      validator_(config.validator) {
-  expects(config.window > 0, "window must be positive");
+      validator_(config.validator),
+      // RingWindow's contract rejects window <= 0.
+      history_(config.window, monitor::Features::kNumFeatures),
+      x_(1, config.window, monitor::Features::kNumFeatures) {
   expects(config.rearm_clean_cycles > 0, "re-arm hysteresis must be positive");
   expects(config.fail_safe_after > 0, "fail-safe threshold must be positive");
   expects(ml.trained(), "ML monitor must be trained");
 }
 
 void ResilientMonitor::push_history(const sim::StepRecord& r) {
-  std::vector<float> row(monitor::Features::kNumFeatures);
-  monitor::fill_features(r, row);
-  history_.push_back(std::move(row));
-  if (static_cast<int>(history_.size()) > config_.window) history_.pop_front();
+  monitor::fill_features(r, history_.push_slot());
+  history_.commit();
 }
 
 ResilientVerdict ResilientMonitor::ml_verdict() {
   ResilientVerdict v;
-  if (static_cast<int>(history_.size()) < config_.window) return v;
-  nn::Tensor3 x(1, config_.window, monitor::Features::kNumFeatures);
-  for (int t = 0; t < config_.window; ++t) {
-    const auto& src = history_[static_cast<std::size_t>(t)];
-    auto dst = x.row(0, t);
-    std::copy(src.begin(), src.end(), dst.begin());
-  }
-  const nn::Matrix probs = ml_.predict_proba(x);
+  if (!history_.full()) return v;
+  history_.copy_ordered(x_.data());
+  const nn::Matrix probs = ml_.predict_proba(x_);
   v.ready = true;
   v.p_unsafe = probs.at(0, 1);
   v.prediction = probs.at(0, 1) > probs.at(0, 0) ? 1 : 0;
@@ -163,8 +158,7 @@ ResilientVerdict ResilientMonitor::step(const sim::StepRecord& record) {
       if (valid) {
         ++clean_streak_;
         push_history(record);
-        if (clean_streak_ >= config_.rearm_clean_cycles &&
-            static_cast<int>(history_.size()) == config_.window) {
+        if (clean_streak_ >= config_.rearm_clean_cycles && history_.full()) {
           state_ = MonitorState::kMlActive;  // hysteresis satisfied: re-arm
           ++telemetry_.recoveries;
           telemetry_.recovery_latency_sum += telemetry_.cycles_total - degraded_since_;

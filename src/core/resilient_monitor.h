@@ -20,12 +20,13 @@
 // max(rearm_clean_cycles, window)).
 #pragma once
 
-#include <deque>
 #include <optional>
 #include <string>
 
 #include "monitor/ml_monitor.h"
+#include "nn/tensor3.h"
 #include "safety/rule_monitor.h"
+#include "serve/ring_window.h"
 #include "sim/trace.h"
 
 namespace cpsguard::core {
@@ -143,7 +144,8 @@ class ResilientMonitor {
   InputValidator validator_;
 
   MonitorState state_ = MonitorState::kMlActive;
-  std::deque<std::vector<float>> history_;  // clean samples only
+  serve::RingWindow history_;  // raw feature rows of clean samples only
+  nn::Tensor3 x_;              // reused (1, window, features) inference input
   std::optional<sim::StepRecord> last_valid_;  // rule context when rejected
   int clean_streak_ = 0;        // consecutive valid samples while degraded
   int consecutive_invalid_ = 0;

@@ -33,8 +33,8 @@ nn::Matrix batched_predict_proba(monitor::MlMonitor& mon,
                                  int chunk = 512);
 
 /// Same, for windows already in the scaled model space (the streaming
-/// engine scales each record once at ingest instead of rescaling it in
-/// every overlapping window). Bit-identical to
+/// engine scales each window as it stages it into the micro-batch).
+/// Bit-identical to
 /// `mon.predict_proba_scaled(scaled_windows)`.
 nn::Matrix batched_predict_proba_scaled(monitor::MlMonitor& mon,
                                         const nn::Tensor3& scaled_windows,

@@ -173,6 +173,11 @@ nn::Classifier& MlMonitor::classifier() {
   return *clf_;
 }
 
+const nn::Classifier& MlMonitor::classifier() const {
+  expects(trained(), "monitor not trained");
+  return *clf_;
+}
+
 void MlMonitor::save(const std::string& path) const {
   std::ofstream f(path, std::ios::binary);
   if (!f) throw std::runtime_error("cannot open monitor file for writing: " + path);

@@ -72,13 +72,14 @@ class MlMonitor {
   nn::Matrix predict_proba(const nn::Tensor3& raw_windows);
 
   /// Predict on windows already in the scaled model space (attack surface,
-  /// and the streaming engine's prescaled ingest path).
+  /// and the streaming engine, which scales each window as it stages it).
   std::vector<int> predict_scaled(const nn::Tensor3& scaled_windows);
   nn::Matrix predict_proba_scaled(const nn::Tensor3& scaled_windows);
 
   [[nodiscard]] const MonitorConfig& config() const { return config_; }
   [[nodiscard]] const StandardScaler& scaler() const;
   [[nodiscard]] nn::Classifier& classifier();
+  [[nodiscard]] const nn::Classifier& classifier() const;
 
   /// Persist / restore (scaler + weights). The config must match at load.
   void save(const std::string& path) const;

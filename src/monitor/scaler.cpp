@@ -55,7 +55,7 @@ void StandardScaler::transform_row(std::span<float> row) const {
   expects(fitted(), "scaler not fitted");
   expects(static_cast<int>(row.size()) == features(), "feature width mismatch");
   // Exactly the transform() arithmetic (double subtract/divide, one float
-  // rounding) so prescaled and raw predict paths agree bit for bit.
+  // rounding) so row-scaled and batch-scaled windows agree bit for bit.
   for (int f = 0; f < features(); ++f) {
     const auto fi = static_cast<std::size_t>(f);
     row[fi] = static_cast<float>((row[fi] - mean_[fi]) / std_[fi]);

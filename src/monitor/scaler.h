@@ -24,9 +24,8 @@ class StandardScaler {
   /// through centered but unscaled.
   [[nodiscard]] nn::Tensor3 transform(const nn::Tensor3& x) const;
   /// In-place transform of one feature row — bit-identical to transform()
-  /// on the same values (scaling is element-wise). Streaming ingest scales
-  /// each record once here instead of rescaling it in every overlapping
-  /// window.
+  /// on the same values (scaling is element-wise). The streaming engine
+  /// scales each staged window here, one time step at a time.
   void transform_row(std::span<float> row) const;
   /// Inverse mapping (used to visualize adversarial windows in raw units).
   [[nodiscard]] nn::Tensor3 inverse_transform(const nn::Tensor3& x) const;

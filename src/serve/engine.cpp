@@ -4,6 +4,8 @@
 
 #include <algorithm>
 
+#include "monitor/features.h"
+#include "nn/classifier.h"
 #include "obs/metrics.h"
 #include "registry/registry.h"
 #include "serve/stable_hash.h"
@@ -30,6 +32,23 @@ struct EngineMetrics {
   }
 };
 
+// A monitor built for another window shape would throw inside every flush,
+// after its windows were staged and before they were cleared, so the queue
+// would grow past the micro-batch. Refuse it before any shard sees it: it
+// may come from a registry artifact, which is outside input.
+void check_shape(const monitor::MlMonitor& mon, const EngineConfig& config) {
+  const nn::Classifier& clf = mon.classifier();
+  if (clf.time_steps() == config.window &&
+      clf.features() == monitor::Features::kNumFeatures) {
+    return;
+  }
+  throw ModelShapeError(
+      "serve: monitor consumes " + std::to_string(clf.time_steps()) + "x" +
+      std::to_string(clf.features()) + " windows, engine serves " +
+      std::to_string(config.window) + "x" +
+      std::to_string(monitor::Features::kNumFeatures));
+}
+
 }  // namespace
 
 Engine::Engine(const monitor::MlMonitor& mon, EngineConfig config)
@@ -47,6 +66,7 @@ Engine::Engine(const monitor::MlMonitor& mon, EngineConfig config)
   expects(config.max_sessions > 0, "max_sessions must be positive");
   expects(config.predict_chunk > 0, "predict_chunk must be positive");
   expects(config.idle_ttl_ticks >= 0, "idle_ttl_ticks must be non-negative");
+  check_shape(mon, config_);
   shards_.reserve(static_cast<std::size_t>(config.shards));
   for (int s = 0; s < config.shards; ++s) {
     shards_.push_back(
@@ -157,6 +177,7 @@ void Engine::stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
                          SwapMode mode) {
   expects(mon.trained(), "staged monitor must be trained");
   expects(version > 0, "model versions start at 1");
+  check_shape(mon, config_);
   for (auto& shard : shards_) shard->stage(mon.clone(), version, mode);
   if (mode == SwapMode::kShadow) {
     shadow_version_ = version;

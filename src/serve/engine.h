@@ -73,7 +73,7 @@ class Engine {
  public:
   /// `mon` must be trained; each shard takes its own clone, so the engine
   /// does not retain a reference. `config.window` must equal the window
-  /// the monitor was trained with.
+  /// the monitor was trained with (ModelShapeError otherwise).
   Engine(const monitor::MlMonitor& mon, EngineConfig config);
 
   /// Ingest one record; never throws on rejection. Sessions are created on
@@ -134,7 +134,8 @@ class Engine {
   /// Stage `mon` (cloned per shard) as version `version`. kEpoch replaces
   /// the active model at the next tick; kShadow dual-scores immediately
   /// without affecting verdicts. Restaging before activation replaces the
-  /// previously staged model.
+  /// previously staged model. A monitor of another window shape throws
+  /// ModelShapeError and leaves the engine untouched.
   void stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
                    SwapMode mode = SwapMode::kEpoch);
 

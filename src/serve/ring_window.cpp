@@ -7,11 +7,12 @@
 namespace cpsguard::serve {
 
 RingWindow::RingWindow(int window, int features)
-    : window_(window),
-      features_(features),
-      data_(static_cast<std::size_t>(window) * static_cast<std::size_t>(features)) {
+    : window_(window), features_(features) {
+  // Check before sizing: a negative extent would wrap the size_t product.
   expects(window > 0, "ring window must be positive");
   expects(features > 0, "ring feature count must be positive");
+  data_.resize(static_cast<std::size_t>(window) *
+               static_cast<std::size_t>(features));
 }
 
 std::span<float> RingWindow::push_slot() {
@@ -28,20 +29,6 @@ void RingWindow::commit() {
 void RingWindow::clear() {
   head_ = 0;
   size_ = 0;
-}
-
-std::span<float> RingWindow::slot(int i) {
-  expects(i >= 0 && i < window_, "slot index out of range");
-  return std::span<float>(data_).subspan(
-      static_cast<std::size_t>(i) * static_cast<std::size_t>(features_),
-      static_cast<std::size_t>(features_));
-}
-
-std::span<const float> RingWindow::slot(int i) const {
-  expects(i >= 0 && i < window_, "slot index out of range");
-  return std::span<const float>(data_).subspan(
-      static_cast<std::size_t>(i) * static_cast<std::size_t>(features_),
-      static_cast<std::size_t>(features_));
 }
 
 void RingWindow::copy_ordered(std::span<float> dst) const {

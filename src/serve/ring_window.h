@@ -1,5 +1,6 @@
-// Fixed-capacity ring buffer of feature rows — the per-session sliding
-// window of the streaming service. All storage is one contiguous float
+// Fixed-capacity ring buffer of feature rows — the sliding window of every
+// online path (each serve session, core::OnlineMonitor and
+// core::ResilientMonitor). All storage is one contiguous float
 // vector allocated at construction; pushing a row writes into a slot
 // in place and copying the window out is two memcpy-sized block copies,
 // so the steady-state ingest path performs zero heap allocations (the
@@ -37,14 +38,6 @@ class RingWindow {
   /// Copy the window oldest→newest into `dst` (size window*features).
   /// Requires full().
   void copy_ordered(std::span<float> dst) const;
-
-  /// Storage-order access to slot `i` in [0, window): the raw backing row,
-  /// NOT time order. Two rings advanced in lockstep have identical slot
-  /// layouts, which is what the hot-swap rescale exploits — it rewrites
-  /// every occupied slot of the scaled ring from its raw twin without
-  /// needing to know where the head is.
-  [[nodiscard]] std::span<float> slot(int i);
-  [[nodiscard]] std::span<const float> slot(int i) const;
 
  private:
   int window_ = 0;

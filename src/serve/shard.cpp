@@ -49,11 +49,39 @@ struct ServeMetrics {
   }
 };
 
+// Copy `ring`'s window into batch row `row` and scale it there, one time
+// step at a time, with the scaler of `mon` — the model that will score the
+// row.
+void stage_row(const RingWindow& ring, const monitor::MlMonitor& mon,
+               nn::Tensor3& batch, int row) {
+  expects(row < batch.batch(), "staged row past the end of the micro-batch");
+  const auto row_floats =
+      static_cast<std::size_t>(batch.time() * batch.features());
+  ring.copy_ordered(batch.data().subspan(
+      static_cast<std::size_t>(row) * row_floats, row_floats));
+  for (int t = 0; t < batch.time(); ++t) {
+    mon.scaler().transform_row(batch.row(row, t));
+  }
+}
+
+// `mon`'s class probabilities for batch rows [0, n). A partial (tick) flush
+// copies its rows into one exact-size tensor, amortized over up to
+// max_batch windows — the per-record path stays allocation-free.
+nn::Matrix score(monitor::MlMonitor& mon, const nn::Tensor3& batch, int n,
+                 int chunk) {
+  if (n == batch.batch()) {
+    return eval::batched_predict_proba_scaled(mon, batch, chunk);
+  }
+  nn::Tensor3 head(n, batch.time(), batch.features());
+  std::copy(batch.data().begin(), batch.data().begin() + head.size(),
+            head.data().begin());
+  return eval::batched_predict_proba_scaled(mon, head, chunk);
+}
+
 }  // namespace
 
 SessionShard::Session::Session(const EngineConfig& cfg)
-    : ring(cfg.window, monitor::Features::kNumFeatures),
-      raw(cfg.window, monitor::Features::kNumFeatures) {}
+    : ring(cfg.window, monitor::Features::kNumFeatures) {}
 
 SessionShard::SessionShard(const monitor::MlMonitor& mon,
                            const EngineConfig& config,
@@ -95,40 +123,19 @@ SubmitStatus SessionShard::submit(SessionId id, const sim::StepRecord& rec,
 
   Session& session = it->second;
   session.last_seen = now_tick;
-  // Scale once at ingest: overlapping windows would otherwise re-scale the
-  // same record `window` times per flush. transform_row is bit-identical to
-  // the batch transform, so flush can take the scaled fast path. The raw
-  // twin keeps the unscaled row so a hot swap can rescale mid-flight
-  // windows under the incoming model's scaler.
-  const std::span<float> raw_slot = session.raw.push_slot();
-  monitor::fill_features(rec, raw_slot);
-  const std::span<float> slot = session.ring.push_slot();
-  std::copy(raw_slot.begin(), raw_slot.end(), slot.begin());
-  monitor_->scaler().transform_row(slot);
-  session.raw.commit();
+  monitor::fill_features(rec, session.ring.push_slot());
   session.ring.commit();
   ++session.cycles;
   metrics.records.increment();
   ++counters_.records;
   if (!session.ring.full()) return SubmitStatus::kAccepted;
 
-  // Stage the ready window into the micro-batch row it will occupy.
-  const auto row = pending_.size();
-  const auto row_floats = static_cast<std::size_t>(config_.window) *
-                          monitor::Features::kNumFeatures;
-  session.ring.copy_ordered(batch_.data().subspan(row * row_floats, row_floats));
+  // Stage the ready window into the micro-batch row it will occupy, once
+  // per model that scores it.
+  const auto row = static_cast<int>(pending_.size());
+  stage_row(session.ring, *monitor_, batch_, row);
   if (shadow_ != nullptr) {
-    // Same window, shadow model space: rebuilt from the raw twin through
-    // the shadow scaler, into the row the shadow flush will score.
-    const std::span<float> srow =
-        shadow_batch_.data().subspan(row * row_floats, row_floats);
-    session.raw.copy_ordered(srow);
-    for (int t = 0; t < config_.window; ++t) {
-      shadow_->scaler().transform_row(
-          srow.subspan(static_cast<std::size_t>(t) *
-                           monitor::Features::kNumFeatures,
-                       monitor::Features::kNumFeatures));
-    }
+    stage_row(session.ring, *shadow_, shadow_batch_, row);
   }
   pending_.push_back(VerdictEvent{id, session.cycles - 1, 0, 0.0, now_tick});
   metrics.windows_ready.increment();
@@ -150,20 +157,7 @@ void SessionShard::flush_locked() {
   const int n = static_cast<int>(pending_.size());
   metrics.batch_occupancy.record(static_cast<double>(n));
 
-  nn::Matrix probs;
-  if (n == config_.max_batch) {
-    probs = eval::batched_predict_proba_scaled(*monitor_, batch_,
-                                               config_.predict_chunk);
-  } else {
-    // Partial (tick) flush: one exact-size tensor per flush, amortized over
-    // up to max_batch windows — the per-record path stays allocation-free.
-    nn::Tensor3 head(n, config_.window, monitor::Features::kNumFeatures);
-    std::copy(batch_.data().begin(), batch_.data().begin() + head.size(),
-              head.data().begin());
-    probs = eval::batched_predict_proba_scaled(*monitor_, head,
-                                               config_.predict_chunk);
-  }
-
+  const nn::Matrix probs = score(*monitor_, batch_, n, config_.predict_chunk);
   for (int r = 0; r < n; ++r) {
     VerdictEvent& ev = pending_[static_cast<std::size_t>(r)];
     ev.p_unsafe = probs.at(r, 1);
@@ -178,21 +172,11 @@ void SessionShard::flush_locked() {
   }
 
   if (shadow_ != nullptr) {
-    // Dual-score the same windows (rebuilt in the shadow model's scaler
-    // space at ingest) without touching done_: shadow verdicts are
-    // observability, never output.
-    nn::Matrix shadow_probs;
-    if (n == config_.max_batch) {
-      shadow_probs = eval::batched_predict_proba_scaled(*shadow_, shadow_batch_,
-                                                        config_.predict_chunk);
-    } else {
-      nn::Tensor3 head(n, config_.window, monitor::Features::kNumFeatures);
-      std::copy(shadow_batch_.data().begin(),
-                shadow_batch_.data().begin() + head.size(),
-                head.data().begin());
-      shadow_probs = eval::batched_predict_proba_scaled(*shadow_, head,
-                                                        config_.predict_chunk);
-    }
+    // Dual-score the same windows (staged in the shadow model's scaler
+    // space) without touching done_: shadow verdicts are observability,
+    // never output.
+    const nn::Matrix shadow_probs =
+        score(*shadow_, shadow_batch_, n, config_.predict_chunk);
     std::uint64_t disagree = 0;
     for (int r = 0; r < n; ++r) {
       const int shadow_pred =
@@ -262,8 +246,9 @@ void SessionShard::stage(std::unique_ptr<monitor::MlMonitor> mon,
   const std::scoped_lock lock(mutex_);
   if (mode == SwapMode::kShadow) {
     // Flush first so the shadow batch rows align with the active batch
-    // starting from the next staged window; allocate the shadow batch on
-    // first use (shards that never shadow pay nothing).
+    // starting from the next staged window (rows already staged have no
+    // shadow-scaled copy); allocate the shadow batch on first use (shards
+    // that never shadow pay nothing).
     flush_locked();
     if (shadow_batch_.empty()) {
       shadow_batch_ = nn::Tensor3(config_.max_batch, config_.window,
@@ -281,33 +266,17 @@ bool SessionShard::activate_staged() {
   const std::scoped_lock lock(mutex_);
   if (staged_ == nullptr) return false;
   // Straggler windows staged since the engine's flush pass (concurrent
-  // ingest) still score under the outgoing model — no batch ever mixes
-  // versions.
+  // ingest) still score under the outgoing model, whose scaler staged
+  // them — no batch ever mixes versions or scaler spaces.
   flush_locked();
   prev_ = std::move(monitor_);
   prev_version_ = version_;
   monitor_ = std::move(staged_);
   version_ = staged_version_;
   staged_version_ = 0;
-  rescale_sessions_locked();
   ++counters_.swaps;
   ServeMetrics::get().swaps.increment();
   return true;
-}
-
-void SessionShard::rescale_sessions_locked() {
-  // Occupied slots are [0, size): before the first wrap the head has only
-  // advanced that far, and once full every slot is live. Rewriting each
-  // occupied slot from the raw twin through the new scaler makes partial
-  // windows bit-identical to fresh ingest under the new model.
-  for (auto& [id, session] : sessions_) {
-    for (int i = 0; i < session.ring.size(); ++i) {
-      const std::span<const float> raw = session.raw.slot(i);
-      const std::span<float> scaled = session.ring.slot(i);
-      std::copy(raw.begin(), raw.end(), scaled.begin());
-      monitor_->scaler().transform_row(scaled);
-    }
-  }
 }
 
 bool SessionShard::promote_shadow() {

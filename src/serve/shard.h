@@ -5,15 +5,14 @@
 // identical weights keep verdicts bit-identical to any other deployment of
 // the same model).
 //
-// Rings hold *prescaled* features: each record passes through the monitor's
-// StandardScaler exactly once at ingest, instead of once per overlapping
-// window at flush. transform_row is bit-identical to the batch transform,
-// so verdicts match the raw-window predict path bit for bit. Each session
-// also keeps a raw twin of its ring (same head, same size): when a hot swap
-// activates a model with a different scaler, every occupied slot is
-// rewritten from the raw twin through the new scaler, so partial windows
-// continue exactly as if their records had been ingested under the new
-// model from the start.
+// Each session keeps one ring of *raw* feature rows. When a window fills,
+// it is copied into its micro-batch row and scaled there, one time step at
+// a time, by the StandardScaler of the model that will score that row —
+// the active monitor for the verdict batch, the shadow monitor for the
+// shadow batch. transform_row is bit-identical to the batch transform, and
+// every model transition flushes first, so each row is scaled by exactly
+// the model that scores it and verdicts match the raw-window predict path
+// bit for bit, across hot swaps included.
 //
 // Locking: one mutex per shard. submit/flush/drain from different threads
 // are safe; two submits for sessions on the same shard serialize, which is
@@ -101,10 +100,10 @@ class SessionShard {
              SwapMode mode);
 
   /// Epoch-boundary activation of the staged monitor: flush any straggler
-  /// windows under the outgoing model, swap, then rescale every live
-  /// session ring from its raw twin so partial windows continue
-  /// bit-identically to fresh ingest under the new scaler. Returns false
-  /// (and does nothing) when no monitor is staged.
+  /// windows under the outgoing model, then swap. Rings hold raw rows, so
+  /// partial windows continue under the new model exactly as if they had
+  /// been ingested under it from the start. Returns false (and does
+  /// nothing) when no monitor is staged.
   bool activate_staged();
 
   /// Move the shadow monitor into the staged slot (it activates at the
@@ -123,7 +122,6 @@ class SessionShard {
 
  private:
   void flush_locked();
-  void rescale_sessions_locked();
 
   const EngineConfig config_;
   std::atomic<std::int64_t>& session_budget_;
@@ -142,8 +140,7 @@ class SessionShard {
 
   struct Session {
     explicit Session(const EngineConfig& cfg);
-    RingWindow ring;             // prescaled (active model's scaler space)
-    RingWindow raw;              // raw twin, advanced in lockstep with ring
+    RingWindow ring;             // raw feature rows
     int cycles = 0;              // records ingested for this session
     std::int64_t last_seen = 0;  // engine tick index of the last submit
   };

@@ -37,6 +37,14 @@ class SessionLimitError : public AdmissionError {
   using AdmissionError::AdmissionError;
 };
 
+/// A monitor whose classifier window shape differs from the engine's
+/// (EngineConfig::window × monitor::Features::kNumFeatures) was offered to
+/// Engine's constructor, stage_model or swap_model. Nothing was changed.
+class ModelShapeError : public CpsError {
+ public:
+  using CpsError::CpsError;
+};
+
 /// How a staged model replaces the active one (Engine::stage_model).
 ///
 /// kEpoch: the model activates at the next tick() epoch boundary — after

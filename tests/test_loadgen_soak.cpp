@@ -170,9 +170,10 @@ TEST_F(SoakTest, PeriodicHotSwapChurnKeepsByteIdentityAndBatchPurity) {
 
   // No-op oracle: periodic self-swaps (empty swap pool re-stages the
   // active model at the active version) must leave the stream
-  // byte-identical to a swap-free run — the raw-ring rescale at every
-  // activation reproduces all in-flight windows bit for bit, under full
-  // churn (abandons, reconnects, TTL evictions).
+  // byte-identical to a swap-free run — windows are scaled as they stage
+  // by the model that scores them, so every in-flight window comes out bit
+  // for bit the same across activations, under full churn (abandons,
+  // reconnects, TTL evictions).
   WorkloadConfig plain_cfg = base_config(profile);
   plain_cfg.traffic.model = TrafficModel::kSteady;
   Workload plain(mon(), exp_.test_traces(), plain_cfg);
@@ -185,8 +186,8 @@ TEST_F(SoakTest, PeriodicHotSwapChurnKeepsByteIdentityAndBatchPurity) {
   const WorkloadReport noop = self_swap.run();
   EXPECT_GT(noop.swaps, 0u);
   EXPECT_EQ(noop.stream_sha256, baseline.stream_sha256)
-      << "periodic self-swaps perturbed the soak stream — the raw-ring "
-         "rescale is not bit-identical to fresh ingest";
+      << "periodic self-swaps perturbed the soak stream — staging under "
+         "the swapped-in clone is not bit-identical to the swap-free run";
 
   // Real swaps: round-robin through a pool of differently-architected
   // models, version bumping on every activation. Every invariant stays

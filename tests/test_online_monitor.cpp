@@ -143,6 +143,7 @@ TEST_F(OnlineMonitorTest, RejectsUntrainedMonitorAndBadWindow) {
   EXPECT_THROW(OnlineMonitor(untrained, 6), ContractViolation);
   auto& mon = exp_.monitor(mlp_);
   EXPECT_THROW(OnlineMonitor(mon, 0), ContractViolation);
+  EXPECT_THROW(OnlineMonitor(mon, -1), ContractViolation);
 }
 
 }  // namespace

@@ -237,6 +237,45 @@ TEST_F(ResilientMonitorTest, HysteresisRearmsMlAfterCleanRun) {
                    static_cast<double>(rearm));
 }
 
+TEST_F(ResilientMonitorTest, RearmedVerdictsMatchFreshOnlineMonitor) {
+  // A re-arm threshold past the window makes the ring wrap during the
+  // refill. Every ML verdict after re-arm must equal, bit for bit, that of
+  // an OnlineMonitor reset at the fault and fed the same clean samples.
+  ResilientConfig rc = config();
+  rc.rearm_clean_cycles = rc.window + 3;
+  ResilientMonitor rm(*ml_, rc);
+  OnlineMonitor om(*ml_, rc.window);
+  for (int t = 0; t < rc.window + 2; ++t) {
+    const sim::StepRecord r = clean_record(t);
+    rm.step(r);
+    om.step(r);
+  }
+  ASSERT_EQ(rm.step(nan_record(100)).state, MonitorState::kDegraded);
+  om.reset();
+
+  int ml_verdicts = 0;
+  for (int i = 0; i < rc.rearm_clean_cycles + 10; ++i) {
+    // Valid samples, mixed so that every refilled window differs.
+    const sim::StepRecord r =
+        i % 3 == 0 ? unsafe_record(200 + i) : clean_record(200 + i);
+    const auto rv = rm.step(r);
+    const auto ov = om.step(r);
+    if (i < rc.rearm_clean_cycles - 1) {
+      EXPECT_EQ(rv.state, MonitorState::kDegraded) << "clean cycle " << i;
+      EXPECT_TRUE(rv.from_fallback) << "clean cycle " << i;
+      continue;
+    }
+    ASSERT_EQ(rv.state, MonitorState::kMlActive) << "clean cycle " << i;
+    ASSERT_TRUE(rv.ready && ov.ready) << "clean cycle " << i;
+    EXPECT_FALSE(rv.from_fallback);
+    EXPECT_EQ(rv.prediction, ov.prediction) << "clean cycle " << i;
+    EXPECT_EQ(rv.p_unsafe, ov.p_unsafe) << "clean cycle " << i;
+    ++ml_verdicts;
+  }
+  EXPECT_EQ(ml_verdicts, 11);
+  EXPECT_EQ(rm.telemetry().recoveries, 1);
+}
+
 TEST_F(ResilientMonitorTest, InvalidSampleDuringRefillResetsHysteresis) {
   const ResilientConfig rc = config();
   ResilientMonitor rm(*ml_, rc);
@@ -288,6 +327,8 @@ TEST_F(ResilientMonitorTest, RejectsUntrainedMonitorAndBadConfig) {
   EXPECT_THROW(ResilientMonitor(untrained, config()), ContractViolation);
   ResilientConfig bad = config();
   bad.window = 0;
+  EXPECT_THROW(ResilientMonitor(*ml_, bad), ContractViolation);
+  bad.window = -1;
   EXPECT_THROW(ResilientMonitor(*ml_, bad), ContractViolation);
   bad = config();
   bad.rearm_clean_cycles = 0;

@@ -86,7 +86,7 @@ TEST(Scaler, ConstantFeaturePassesThroughCentered) {
 }
 
 TEST(Scaler, TransformRowBitIdenticalToBatchOnPathologicalFloats) {
-  // The serve engine prescales each record once via transform_row; its
+  // The serve engine scales each staged window via transform_row; its
   // byte-identity contract vs offline evaluation rests on transform_row
   // producing the same bits as transform() — including on NaN, +/-inf and
   // denormal inputs a hostile or buggy sensor stream could feed it.

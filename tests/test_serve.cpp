@@ -4,8 +4,9 @@
 // pooled flushes byte-identical, pinned against tests/golden/, including a
 // mid-stream hot-swap + rollback segment), live model hot-swap (epoch
 // boundary latency, no-op self-swap oracle, shadow scoring, rollback,
-// registry-driven swap), and concurrent ingest (the TSan CI job runs this
-// binary).
+// registry-driven swap, swaps across scalers), refusal of a monitor whose
+// window shape does not match the engine, and concurrent ingest (the TSan
+// CI job runs this binary).
 //
 // Re-bless the replay golden after an intentional model/output change:
 //   CPSGUARD_BLESS=1 ./build/tests/test_serve
@@ -18,10 +19,14 @@
 #include <filesystem>
 #include <fstream>
 #include <map>
+#include <sstream>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "core/experiment.h"
 #include "core/online_monitor.h"
+#include "monitor/features.h"
 #include "obs/sha256.h"
 #include "registry/registry.h"
 #include "serve/stable_hash.h"
@@ -49,14 +54,29 @@ core::ExperimentConfig tiny_config() {
   return cfg;
 }
 
+/// Same pipeline, another campaign: a model trained on it has its own
+/// scaler, so swapping it in changes the scaler space windows are staged in.
+core::ExperimentConfig other_seed_config() {
+  core::ExperimentConfig cfg = tiny_config();
+  cfg.campaign.seed = 23;
+  return cfg;
+}
+
+bool scalers_differ(const monitor::MlMonitor& a, const monitor::MlMonitor& b) {
+  for (int f = 0; f < monitor::Features::kNumFeatures; ++f) {
+    if (a.scaler().mean_of(f) != b.scaler().mean_of(f)) return true;
+  }
+  return false;
+}
+
 class ServeTest : public ::testing::Test {
  protected:
   ServeTest() : exp_(tiny_config()) {}
 
   monitor::MlMonitor& mon() { return exp_.monitor(mlp_); }
-  /// A second, genuinely different model (other architecture, other
-  /// scaler-space behaviour is identical since the scaler fits the same
-  /// data) for hot-swap tests.
+  /// A second, genuinely different model (other architecture) for hot-swap
+  /// tests. Its scaler fits the same data, so it equals mon()'s; swaps
+  /// across scalers use a model from other_seed_config().
   monitor::MlMonitor& next_mon() { return exp_.monitor(gru_); }
   int window() const { return exp_.config().dataset.window; }
 
@@ -295,7 +315,8 @@ std::string replay(core::Experiment& exp, monitor::MlMonitor& mon,
     // Swap segment: hot-swap to the second model a third of the way in
     // (activates inside that tick, after its flush — so that tick's
     // verdicts still carry v1), then roll back to v1 at two thirds. The
-    // golden therefore pins the epoch protocol and the raw-ring rescale.
+    // golden therefore pins the epoch protocol and windows that straddle a
+    // model change.
     if (t == longest.length() / 3) engine.stage_model(next, 2);
     if (t == 2 * longest.length() / 3) engine.rollback();
     for (int s = 0; s < kSessions; ++s) {
@@ -366,6 +387,93 @@ std::string drive(core::Experiment& exp, Engine& engine, int sessions,
   return out;
 }
 
+/// One parsed replay line (see verdict_line).
+struct Verdict {
+  int prediction = 0;
+  unsigned long long version = 0;
+  unsigned long long bits = 0;  // p_unsafe
+  bool operator==(const Verdict&) const = default;
+};
+/// Parsed verdict stream keyed by (session, cycle).
+using Windows = std::map<std::pair<SessionId, int>, Verdict>;
+
+Windows by_window(const std::string& stream) {
+  Windows out;
+  std::istringstream in(stream);
+  std::string line;
+  while (std::getline(in, line)) {
+    unsigned long long session = 0;
+    int cycle = 0;
+    Verdict v;
+    EXPECT_EQ(std::sscanf(line.c_str(), "%llu,%d,%d,%llu,%llx", &session,
+                          &cycle, &v.prediction, &v.version, &v.bits),
+              5)
+        << line;
+    if (!out.emplace(std::make_pair(session, cycle), v).second) {
+      ADD_FAILURE() << "duplicate verdict for session " << session
+                    << " cycle " << cycle;
+    }
+  }
+  return out;
+}
+
+/// The lines of `stream` whose cycle is at most `last_cycle`, in stream
+/// order: a verdict dropped, duplicated or reordered up to that cycle
+/// changes the result.
+std::string lines_through(const std::string& stream, int last_cycle) {
+  std::string out;
+  std::istringstream in(stream);
+  std::string line;
+  while (std::getline(in, line)) {
+    unsigned long long session = 0;
+    int cycle = 0;
+    EXPECT_EQ(std::sscanf(line.c_str(), "%llu,%d", &session, &cycle), 2)
+        << line;
+    if (cycle <= last_cycle) out += line + '\n';
+  }
+  return out;
+}
+
+/// Keys of `w` whose cycle is in (from, to].
+std::vector<std::pair<SessionId, int>> keys_in(const Windows& w, int from,
+                                               int to) {
+  std::vector<std::pair<SessionId, int>> out;
+  for (const auto& [key, v] : w) {
+    if (key.second > from && key.second <= to) out.push_back(key);
+  }
+  return out;
+}
+
+/// `got` must hold exactly the windows of the from-scratch stream `ref`
+/// whose cycle is in (from, to], each scored the same: same prediction,
+/// same p_unsafe bits (the version column may differ). Returns how many of
+/// those windows straddle `from`, i.e. hold records ingested before the
+/// model changed.
+int expect_tail_matches(const Windows& got, const Windows& ref, int from,
+                        int to, int window) {
+  EXPECT_EQ(keys_in(got, from, to), keys_in(ref, from, to))
+      << "the tail after cycle " << from << " lost or gained a window";
+  int compared = 0;
+  int straddling = 0;
+  for (const auto& [key, v] : got) {
+    if (key.second <= from || key.second > to) continue;
+    const auto it = ref.find(key);
+    if (it == ref.end()) {
+      ADD_FAILURE() << "no reference verdict for session " << key.first
+                    << " cycle " << key.second;
+      continue;
+    }
+    EXPECT_EQ(v.prediction, it->second.prediction)
+        << "session " << key.first << " cycle " << key.second;
+    EXPECT_EQ(v.bits, it->second.bits)
+        << "session " << key.first << " cycle " << key.second;
+    ++compared;
+    if (key.second - (window - 1) <= from) ++straddling;
+  }
+  EXPECT_GT(compared, 0);
+  return straddling;
+}
+
 TEST_F(ServeTest, SwapActivatesAtEpochBoundaryWithBoundedLatency) {
   EngineConfig cfg;
   cfg.window = window();
@@ -412,10 +520,10 @@ TEST_F(ServeTest, SwapActivatesAtEpochBoundaryWithBoundedLatency) {
 
 TEST_F(ServeTest, NoOpSelfSwapLeavesStreamByteIdentical) {
   // Swapping in a clone of the active model at the active version must be
-  // invisible: the raw-ring rescale reproduces every in-flight window bit
-  // for bit, so the full verdict stream (version column included) matches
-  // a swap-free run exactly. This is the standing no-op oracle the loadgen
-  // soak leans on.
+  // invisible: every window is scaled as it stages by the model that scores
+  // it, so in-flight windows come out bit for bit the same and the full
+  // verdict stream (version column included) matches a swap-free run
+  // exactly. This is the standing no-op oracle the loadgen soak leans on.
   EngineConfig cfg;
   cfg.window = window();
   cfg.shards = 4;
@@ -432,45 +540,78 @@ TEST_F(ServeTest, NoOpSelfSwapLeavesStreamByteIdentical) {
       });
   ASSERT_FALSE(baseline.empty());
   EXPECT_EQ(swapped, baseline)
-      << "self-swap perturbed the verdict stream — the raw-ring rescale is "
-         "not bit-identical to fresh ingest";
+      << "self-swap perturbed the verdict stream — staging under the "
+         "swapped-in clone is not bit-identical to the swap-free run";
   EXPECT_GT(swapping.swap_stats().swaps, 0u);
   EXPECT_LE(swapping.swap_stats().max_latency_ticks, 1);
 }
 
 TEST_F(ServeTest, ShadowModeDualScoresWithoutChangingVerdicts) {
+  core::Experiment other_exp(other_seed_config());
+  monitor::MlMonitor& other = other_exp.monitor(mlp_);
+  ASSERT_TRUE(scalers_differ(mon(), other))
+      << "precondition: the other-seed candidate must have its own scaler";
+
   EngineConfig cfg;
   cfg.window = window();
   cfg.shards = 2;
   cfg.max_batch = 8;
   Engine plain(mon(), cfg);
-  const std::string baseline = drive(exp_, plain, 4, [](int) {});
+  const std::string baseline_stream = drive(exp_, plain, 4, [](int) {});
+  const Windows baseline = by_window(baseline_stream);
+  const int steps = exp_.test_traces().front().length();
+  const int stage_at = steps / 3;
+  const int promote_at = 2 * steps / 3;
 
-  // Shadow-stage the candidate a third of the way in: verdicts must stay
-  // byte-identical to the baseline (the shadow model observes, never
-  // scores), while the shadow counters prove it actually ran.
-  Engine shadowed(mon(), cfg);
-  const int stage_at = exp_.test_traces().front().length() / 3;
-  const std::string stream =
-      drive(exp_, shadowed, 4, [&](int t) {
-        if (t == stage_at) {
-          shadowed.stage_model(next_mon(), 2, SwapMode::kShadow);
-        }
-      });
-  EXPECT_EQ(stream, baseline);
-  EXPECT_EQ(shadowed.active_version(), 1u);
-  EXPECT_EQ(shadowed.shadow_version(), 2u);
-  EXPECT_GT(shadowed.stats().shadow_windows, 0u);
-  EXPECT_LE(shadowed.stats().shadow_disagree, shadowed.stats().shadow_windows);
+  // The GRU candidate shares the active model's scaler; the other-seed MLP
+  // does not, so its shadow rows are staged in another scaler space.
+  for (monitor::MlMonitor* candidate : {&next_mon(), &other}) {
+    Engine reference(*candidate, cfg);
+    const Windows ref = by_window(drive(exp_, reference, 4, [](int) {}));
 
-  // Promotion turns the shadow into a staged epoch swap; the next tick
-  // activates it.
-  EXPECT_TRUE(shadowed.promote_shadow());
-  EXPECT_EQ(shadowed.staged_version(), 2u);
-  EXPECT_EQ(shadowed.shadow_version(), 0u);
-  (void)shadowed.tick();
-  EXPECT_EQ(shadowed.active_version(), 2u);
-  EXPECT_FALSE(shadowed.promote_shadow());  // nothing left to promote
+    // Shadow-stage the candidate a third of the way in and promote it at
+    // two thirds. Until promotion the shadow observes and never scores.
+    Engine shadowed(mon(), cfg);
+    const std::string stream = drive(exp_, shadowed, 4, [&](int t) {
+      if (t == stage_at) {
+        shadowed.stage_model(*candidate, 2, SwapMode::kShadow);
+      }
+      if (t == promote_at) {
+        EXPECT_EQ(shadowed.active_version(), 1u);
+        EXPECT_EQ(shadowed.shadow_version(), 2u);
+        // Promotion turns the shadow into a staged epoch swap; this tick
+        // activates it.
+        EXPECT_TRUE(shadowed.promote_shadow());
+        EXPECT_EQ(shadowed.staged_version(), 2u);
+        EXPECT_EQ(shadowed.shadow_version(), 0u);
+      }
+    });
+    const Windows got = by_window(stream);
+    EXPECT_EQ(shadowed.active_version(), 2u);
+    EXPECT_FALSE(shadowed.promote_shadow());  // nothing left to promote
+
+    // The shadow scored every window staged while it was installed, and
+    // disagreed exactly where the from-scratch candidate disagrees with
+    // the active model.
+    std::uint64_t shadow_windows = 0;
+    std::uint64_t shadow_disagree = 0;
+    for (const auto& [key, v] : baseline) {
+      if (key.second < stage_at || key.second >= promote_at) continue;
+      ++shadow_windows;
+      if (v.prediction != ref.at(key).prediction) ++shadow_disagree;
+    }
+    EXPECT_GT(shadow_windows, 0u);
+    EXPECT_EQ(shadowed.stats().shadow_windows, shadow_windows);
+    EXPECT_EQ(shadowed.stats().shadow_disagree, shadow_disagree);
+
+    // Up to the promoting tick the stream is the baseline byte for byte,
+    // version column and order included; after it, the candidate's
+    // from-scratch stream.
+    EXPECT_EQ(lines_through(stream, promote_at),
+              lines_through(baseline_stream, promote_at))
+        << "the shadow changed, dropped or reordered a verdict";
+    EXPECT_GT(expect_tail_matches(got, ref, promote_at, steps, window()), 0);
+  }
 }
 
 TEST_F(ServeTest, RollbackRestoresThePreviousModelStream) {
@@ -484,7 +625,7 @@ TEST_F(ServeTest, RollbackRestoresThePreviousModelStream) {
   // Swap to v2 a third of the way in, roll back at two thirds. After the
   // rollback activates, the stream must rejoin the never-swapped baseline
   // exactly — same predictions, same bits, same version column — because
-  // the raw rings rebuild v1's scaled windows bit for bit.
+  // every window is staged from raw rows by the model that scores it.
   const int steps = exp_.test_traces().front().length();
   Engine engine(mon(), cfg);
   bool rolled = false;
@@ -496,30 +637,15 @@ TEST_F(ServeTest, RollbackRestoresThePreviousModelStream) {
   EXPECT_EQ(engine.active_version(), 1u);
   EXPECT_EQ(engine.swap_stats().swaps, 2u);  // swap + rollback activation
 
-  // Compare the post-rollback suffix line by line against the baseline.
   // The rollback staged at tick 2*steps/3 activates inside that tick, so
   // every verdict from cycle 2*steps/3 + 1 on must match.
-  std::map<std::string, std::string> base_lines;  // "session,cycle" -> line
-  auto index = [](const std::string& s,
-                  std::map<std::string, std::string>& into) {
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      const std::size_t eol = s.find('\n', pos);
-      const std::string line = s.substr(pos, eol - pos);
-      const std::size_t second_comma = line.find(',', line.find(',') + 1);
-      into[line.substr(0, second_comma)] = line;
-      pos = eol + 1;
-    }
-  };
-  std::map<std::string, std::string> got_lines;
-  index(baseline, base_lines);
-  index(stream, got_lines);
+  const Windows base = by_window(baseline);
   int compared = 0;
-  for (const auto& [key, line] : got_lines) {
-    const int cycle = std::stoi(key.substr(key.find(',') + 1));
-    if (cycle <= 2 * steps / 3) continue;
-    ASSERT_TRUE(base_lines.count(key)) << key;
-    EXPECT_EQ(line, base_lines[key]) << "post-rollback divergence at " << key;
+  for (const auto& [key, v] : by_window(stream)) {
+    if (key.second <= 2 * steps / 3) continue;
+    ASSERT_TRUE(base.count(key)) << key.first << "," << key.second;
+    EXPECT_EQ(v, base.at(key))
+        << "post-rollback divergence at " << key.first << "," << key.second;
     ++compared;
   }
   EXPECT_GT(compared, 0);
@@ -536,71 +662,104 @@ TEST_F(ServeTest, RollbackRestoresThePreviousModelStream) {
 }
 
 TEST_F(ServeTest, SwapModelFromRegistryMatchesFromScratchEngine) {
+  core::Experiment other_exp(other_seed_config());
+  monitor::MlMonitor& other = other_exp.monitor(mlp_);
+  ASSERT_TRUE(scalers_differ(mon(), other))
+      << "precondition: the other-seed candidate must have its own scaler";
+
   const fs::path dir =
       fs::temp_directory_path() / "cpsguard_serve_registry_swap";
   fs::remove_all(dir);
   registry::ModelRegistry reg(dir.string());
-  (void)exp_.publish_monitor(mlp_, reg);  // v1
-  (void)exp_.publish_monitor(gru_, reg);  // v2
+  ASSERT_EQ(exp_.publish_monitor(mlp_, reg), 1u);
+  ASSERT_EQ(exp_.publish_monitor(gru_, reg), 2u);       // same scaler
+  ASSERT_EQ(other_exp.publish_monitor(mlp_, reg), 3u);  // its own scaler
 
   EngineConfig cfg;
   cfg.window = window();
   cfg.shards = 2;
   cfg.max_batch = 8;
 
-  // Reference: the candidate model serving from the very first cycle.
-  Engine reference(next_mon(), cfg);
-  const std::string ref_stream = drive(exp_, reference, 4, [](int) {});
+  // References: each candidate serving from the very first cycle.
+  Engine gru_reference(next_mon(), cfg);
+  const Windows gru_ref = by_window(drive(exp_, gru_reference, 4, [](int) {}));
+  Engine other_reference(other, cfg);
+  const Windows other_ref =
+      by_window(drive(exp_, other_reference, 4, [](int) {}));
 
-  // Swap the registry's v2 in mid-stream. The mmap'd artifact dies inside
-  // swap_model (shards clone), so GC'ing v1 afterwards is safe.
+  // Swap the registry's v2 in a third of the way in and v3 at two thirds.
+  // The mmap'd artifact dies inside swap_model (shards clone), so GC'ing
+  // v1 and v2 afterwards is safe.
   const int steps = exp_.test_traces().front().length();
+  const int first = steps / 3;
+  const int second = 2 * steps / 3;
   Engine engine(mon(), cfg);
-  const std::string stream = drive(exp_, engine, 4, [&](int t) {
-    if (t == steps / 2) {
-      engine.swap_model(reg, 2);
-      EXPECT_EQ(reg.gc(1), (std::vector<std::uint64_t>{1}));
+  const Windows got = by_window(drive(exp_, engine, 4, [&](int t) {
+    if (t == first) engine.swap_model(reg, 2);
+    if (t == second) {
+      engine.swap_model(reg, 3);
+      EXPECT_EQ(reg.gc(1), (std::vector<std::uint64_t>{1, 2}));
     }
-  });
-  EXPECT_EQ(engine.active_version(), 2u);
+  }));
+  EXPECT_EQ(engine.active_version(), 3u);
   EXPECT_LE(engine.swap_stats().max_latency_ticks, 1);
 
-  // After activation the swapped engine must agree with the from-scratch
-  // reference bit for bit (modulo the version column: the reference's v1
-  // label vs the swapped engine's v2): the raw rings rebuild the
-  // candidate's scaled windows exactly as fresh ingest would.
-  auto tail = [&](const std::string& s) {
-    std::map<std::string, std::pair<int, std::string>> out;
-    std::size_t pos = 0;
-    while (pos < s.size()) {
-      const std::size_t eol = s.find('\n', pos);
-      const std::string line = s.substr(pos, eol - pos);
-      const std::size_t c1 = line.find(',');
-      const std::size_t c2 = line.find(',', c1 + 1);
-      const std::size_t c3 = line.find(',', c2 + 1);
-      const int cycle = std::stoi(line.substr(c1 + 1, c2 - c1 - 1));
-      // prediction + p_unsafe bits, version column dropped.
-      out[line.substr(0, c2)] = {cycle, line.substr(c2 + 1, c3 - c2 - 1) +
-                                            line.substr(line.rfind(','))};
-      pos = eol + 1;
-    }
-    return out;
-  };
-  const auto ref_lines = tail(ref_stream);
-  const auto got_lines = tail(stream);
-  int compared = 0;
-  for (const auto& [key, val] : got_lines) {
-    if (val.first <= steps / 2) continue;
-    const auto it = ref_lines.find(key);
-    ASSERT_NE(it, ref_lines.end()) << key;
-    EXPECT_EQ(val.second, it->second.second)
-        << "post-swap divergence from from-scratch candidate at " << key;
-    ++compared;
-  }
-  EXPECT_GT(compared, 0);
+  // After each activation the swapped engine must agree with that
+  // candidate's from-scratch engine bit for bit — windows that straddle
+  // the swap included, since rings hold raw rows and each window is scaled
+  // by the model that scores it.
+  EXPECT_GT(expect_tail_matches(got, gru_ref, first, second, window()), 0);
+  EXPECT_GT(expect_tail_matches(got, other_ref, second, steps, window()), 0);
 
   // Asking for a version the registry no longer holds is a typed error.
   EXPECT_THROW(engine.swap_model(reg, 1), CpsError);
+  fs::remove_all(dir);
+}
+
+TEST_F(ServeTest, RefusesMonitorOfAnotherWindowShape) {
+  // A window-8 monitor would throw in every flush after its windows were
+  // staged, so the engine must refuse it up front — at construction, at
+  // stage_model and at swap_model (registry artifacts are outside input) —
+  // and leave the engine exactly as if it had never been offered.
+  core::ExperimentConfig wide_cfg = tiny_config();
+  wide_cfg.dataset.window = window() + 2;
+  core::Experiment wide_exp(wide_cfg);
+  monitor::MlMonitor& wide = wide_exp.monitor(mlp_);
+  ASSERT_EQ(wide.classifier().time_steps(), window() + 2);
+
+  EngineConfig cfg;
+  cfg.window = window();
+  cfg.shards = 2;
+  cfg.max_batch = 8;
+  EXPECT_THROW(Engine(wide, cfg), ModelShapeError);
+
+  const fs::path dir =
+      fs::temp_directory_path() / "cpsguard_serve_registry_shape";
+  fs::remove_all(dir);
+  registry::ModelRegistry reg(dir.string());
+  const std::uint64_t wide_version = wide_exp.publish_monitor(mlp_, reg);
+
+  Engine plain(mon(), cfg);
+  const std::string baseline = drive(exp_, plain, 4, [](int) {});
+
+  Engine engine(mon(), cfg);
+  const int steps = exp_.test_traces().front().length();
+  const std::string stream = drive(exp_, engine, 4, [&](int t) {
+    if (t == steps / 4) {
+      EXPECT_THROW(engine.stage_model(wide, 2), ModelShapeError);
+      EXPECT_THROW(engine.stage_model(wide, 2, SwapMode::kShadow),
+                   ModelShapeError);
+    }
+    if (t == steps / 2) {
+      EXPECT_THROW(engine.swap_model(reg, wide_version), ModelShapeError);
+    }
+  });
+  EXPECT_EQ(stream, baseline);
+  EXPECT_EQ(engine.active_version(), 1u);
+  EXPECT_EQ(engine.staged_version(), 0u);
+  EXPECT_EQ(engine.shadow_version(), 0u);
+  EXPECT_EQ(engine.stats().swaps, 0u);
+  EXPECT_EQ(engine.stats().shadow_windows, 0u);
   fs::remove_all(dir);
 }
 
