@@ -2,9 +2,11 @@
 // dominate monitor training and FGSM crafting.
 #include <benchmark/benchmark.h>
 
+#include <span>
 #include <string>
 #include <vector>
 
+#include "nn/activations.h"
 #include "nn/classifier.h"
 #include "nn/lstm_classifier.h"
 #include "util/rng.h"
@@ -96,7 +98,25 @@ void BM_LstmForward(benchmark::State& state) {
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
-BENCHMARK(BM_LstmForward)->Arg(64)->Arg(256);
+// 16 is the serve_lstm_steady tick flush, 870 the Fig. 9 sweep's test set.
+BENCHMARK(BM_LstmForward)->Arg(16)->Arg(64)->Arg(256)->Arg(870);
+
+// One LSTM(128) gate row, 4 x 128 pre-activations drawn from N(0, 2),
+// through the dispatched sigmoid or tanh kernel.
+void BM_GateMath(benchmark::State& state,
+                 void (*rows)(std::span<const float>, std::span<float>)) {
+  util::Rng rng(8);
+  std::vector<float> x(512), y(512);
+  for (float& v : x) v = static_cast<float>(rng.gaussian(0.0, 2.0));
+  for (auto _ : state) {
+    rows(x, y);
+    benchmark::DoNotOptimize(y.data());
+    benchmark::ClobberMemory();
+  }
+  state.SetItemsProcessed(state.iterations() * 512L);
+}
+BENCHMARK_CAPTURE(BM_GateMath, sigmoid, &nn::sigmoid_rows);
+BENCHMARK_CAPTURE(BM_GateMath, tanh, &nn::tanh_rows);
 
 void BM_LstmTrainBatch(benchmark::State& state) {
   const auto batch = static_cast<int>(state.range(0));

@@ -1,7 +1,9 @@
 #include "fuzz/oracles.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
+#include <cstdio>
 #include <cstring>
 #include <functional>
 #include <limits>
@@ -11,7 +13,9 @@
 #include "eval/pr_curve.h"
 #include "monitor/dataset.h"
 #include "monitor/ml_monitor.h"
+#include "nn/activations.h"
 #include "nn/matrix.h"
+#include "nn/simd_kernels.h"
 #include "safety/cusum.h"
 #include "sim/closed_loop.h"
 #include "util/contracts.h"
@@ -155,6 +159,64 @@ OracleReport oracle_matmul(int cases, std::uint64_t seed, int which) {
         break;
       }
     }
+  }
+  return report;
+}
+
+// ---- gate math --------------------------------------------------------------
+
+// Every SIMD sigmoid/tanh kernel this CPU supports vs. the scalar ports,
+// exact bits with no NaN tolerance: the kernels promise the ports' NaN
+// payloads too. One case is one 65 536-pattern block of the float bit
+// space. Blocks are visited in a seeded order that is a permutation of all
+// 2^16 blocks (an odd stride is a bijection mod 2^16), so cases = 65536 is
+// the exhaustive sweep for any seed. A host with no SIMD kernel has nothing
+// to compare and reports every block clean.
+OracleReport oracle_gate_math(int cases, std::uint64_t seed) {
+  OracleReport report;
+  constexpr std::uint32_t kBlock = 1u << 16;
+  util::Rng rng(seed, 0x47415445ULL);
+  const std::uint32_t offset = rng() & (kBlock - 1);
+  const std::uint32_t stride = (rng() | 1u) & (kBlock - 1);
+  std::vector<float> x(kBlock), want_sigmoid(kBlock), want_tanh(kBlock),
+      got(kBlock);
+  // Empty when `simd` reproduces `want` exactly, else the first difference.
+  const auto check = [&](const char* kernel, const char* fn,
+                         nn::GateRowsFn simd, const std::vector<float>& want) {
+    simd(x.data(), got.data(), static_cast<int>(kBlock));
+    if (std::memcmp(want.data(), got.data(), kBlock * sizeof(float)) == 0) {
+      return std::string();
+    }
+    std::uint32_t i = 0;
+    while (std::bit_cast<std::uint32_t>(want[i]) ==
+           std::bit_cast<std::uint32_t>(got[i])) {
+      ++i;
+    }
+    char msg[128];
+    std::snprintf(msg, sizeof msg, "%s %s at x=0x%08x: got 0x%08x want 0x%08x",
+                  kernel, fn, std::bit_cast<std::uint32_t>(x[i]),
+                  std::bit_cast<std::uint32_t>(got[i]),
+                  std::bit_cast<std::uint32_t>(want[i]));
+    return std::string(msg);
+  };
+  for (int c = 0; c < cases; ++c) {
+    const std::uint32_t block =
+        (offset + stride * static_cast<std::uint32_t>(c)) & (kBlock - 1);
+    for (std::uint32_t i = 0; i < kBlock; ++i) {
+      x[i] = std::bit_cast<float>(block << 16 | i);
+      want_sigmoid[i] = nn::sigmoid(x[i]);
+      want_tanh[i] = nn::tanhf_port(x[i]);
+    }
+    std::string mismatch;
+    for (const auto& k : nn::supported_simd_kernels()) {
+      if (mismatch.empty() && k.sigmoid != nullptr) {
+        mismatch = check(k.name, "sigmoid", k.sigmoid, want_sigmoid);
+      }
+      if (mismatch.empty() && k.tanh != nullptr) {
+        mismatch = check(k.name, "tanh", k.tanh, want_tanh);
+      }
+    }
+    record(report, mismatch.empty(), mismatch);
   }
   return report;
 }
@@ -384,8 +446,8 @@ OracleReport oracle_pr_curve(int cases, std::uint64_t seed) {
 
 const std::vector<std::string>& oracle_names() {
   static const std::vector<std::string> names = {
-      "matmul", "matmul_tn", "matmul_nt", "batched_predict", "cusum",
-      "pr_curve"};
+      "matmul", "matmul_tn", "matmul_nt", "gate_math", "batched_predict",
+      "cusum", "pr_curve"};
   return names;
 }
 
@@ -398,6 +460,8 @@ OracleReport run_oracle(const std::string& name, int cases,
     report = oracle_matmul(cases, seed, 1);
   } else if (name == "matmul_nt") {
     report = oracle_matmul(cases, seed, 2);
+  } else if (name == "gate_math") {
+    report = oracle_gate_math(cases, seed);
   } else if (name == "batched_predict") {
     report = oracle_batched_predict(cases, seed);
   } else if (name == "cusum") {

@@ -9,6 +9,11 @@
 //     tolerance: a NaN result matches any NaN — IEEE leaves NaN sign and
 //     payload unspecified and x86 propagates payloads by operand position,
 //     which the compiler may commute;
+//   gate_math — every supported SIMD sigmoid/tanh kernel vs. the scalar
+//     ports nn::sigmoid / nn::tanhf_port, exact bits with no NaN tolerance
+//     (the kernels reproduce the ports' NaN payloads). One case is one
+//     65 536-pattern block of the float bit space, visited in a seeded
+//     permutation of all 2^16 blocks, so --cases=65536 is exhaustive;
 //   batched_predict — chunk-parallel eval::batched_predict_proba vs. a
 //     per-row reference on the same trained monitor, bit-identical;
 //   cusum — streaming CusumDetector vs. a from-scratch batch recompute,
@@ -34,7 +39,7 @@ struct OracleReport {
   [[nodiscard]] bool clean() const { return mismatches == 0; }
 };
 
-/// All registered oracle names: matmul, matmul_tn, matmul_nt,
+/// All registered oracle names: matmul, matmul_tn, matmul_nt, gate_math,
 /// batched_predict, cusum, pr_curve.
 const std::vector<std::string>& oracle_names();
 

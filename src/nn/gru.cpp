@@ -1,6 +1,5 @@
 #include "nn/gru.h"
 
-#include <cmath>
 #include <utility>
 
 #include "nn/activations.h"
@@ -45,6 +44,7 @@ Tensor3 GruLayer::forward(const Tensor3& x) {
     sc.ah_n = Matrix(batch, hidden_);
     Matrix h_next(batch, hidden_);
 
+    const auto hsz = static_cast<std::size_t>(hidden_);
     for (int bi = 0; bi < batch; ++bi) {
       const auto arow = a.row(bi);
       const auto ahrow = ah.row(bi);
@@ -54,15 +54,19 @@ Tensor3 GruLayer::forward(const Tensor3& x) {
       auto nrow = sc.n.row(bi);
       auto qrow = sc.ah_n.row(bi);
       auto hnrow = h_next.row(bi);
-      for (int j = 0; j < hidden_; ++j) {
-        const auto ji = static_cast<std::size_t>(j);
-        const auto jr = ji + static_cast<std::size_t>(hidden_);
-        const auto jn = ji + static_cast<std::size_t>(2 * hidden_);
-        zrow[ji] = sigmoid(arow[ji] + ahrow[ji]);
-        rrow[ji] = sigmoid(arow[jr] + ahrow[jr]);
-        qrow[ji] = ahrow[jn];
-        nrow[ji] = std::tanh(arow[jn] + rrow[ji] * qrow[ji]);
-        hnrow[ji] = (1.0f - zrow[ji]) * nrow[ji] + zrow[ji] * hrow[ji];
+      for (std::size_t j = 0; j < hsz; ++j) {
+        zrow[j] = arow[j] + ahrow[j];
+        rrow[j] = arow[j + hsz] + ahrow[j + hsz];
+        qrow[j] = ahrow[j + 2 * hsz];
+      }
+      sigmoid_rows(zrow, zrow);
+      sigmoid_rows(rrow, rrow);
+      for (std::size_t j = 0; j < hsz; ++j) {
+        nrow[j] = arow[j + 2 * hsz] + rrow[j] * qrow[j];
+      }
+      tanh_rows(nrow, nrow);
+      for (std::size_t j = 0; j < hsz; ++j) {
+        hnrow[j] = (1.0f - zrow[j]) * nrow[j] + zrow[j] * hrow[j];
       }
     }
 

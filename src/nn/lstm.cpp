@@ -1,6 +1,5 @@
 #include "nn/lstm.h"
 
-#include <cmath>
 #include <utility>
 
 #include "nn/activations.h"
@@ -41,34 +40,33 @@ Tensor3 LstmLayer::forward(const Tensor3& x) {
     a.add_in_place(matmul(h, wh_.value));
     a.add_row_vector(std::as_const(b_.value).row(0));
 
-    sc.gates = Matrix(batch, 4 * hidden_);
+    const auto hsz = static_cast<std::size_t>(hidden_);
     sc.c = Matrix(batch, hidden_);
     sc.tanh_c = Matrix(batch, hidden_);
     Matrix h_next(batch, hidden_);
 
+    // The pre-activations become the gates in place: sigmoid over the
+    // contiguous [i|f] block and over o, tanh over g.
     for (int bi = 0; bi < batch; ++bi) {
-      const auto arow = a.row(bi);
-      auto grow = sc.gates.row(bi);
+      const auto grow = a.row(bi);
+      const auto if_gates = grow.first(2 * hsz);
+      const auto g_gate = grow.subspan(2 * hsz, hsz);
+      const auto o_gate = grow.subspan(3 * hsz, hsz);
+      sigmoid_rows(if_gates, if_gates);
+      tanh_rows(g_gate, g_gate);
+      sigmoid_rows(o_gate, o_gate);
       const auto cprev = sc.c_prev.row(bi);
       auto crow = sc.c.row(bi);
       auto tcrow = sc.tanh_c.row(bi);
       auto hrow = h_next.row(bi);
-      for (int j = 0; j < hidden_; ++j) {
-        const auto ji = static_cast<std::size_t>(j);
-        const float ig = sigmoid(arow[ji]);
-        const float fg = sigmoid(arow[ji + static_cast<std::size_t>(hidden_)]);
-        const float gg = std::tanh(arow[ji + static_cast<std::size_t>(2 * hidden_)]);
-        const float og = sigmoid(arow[ji + static_cast<std::size_t>(3 * hidden_)]);
-        grow[ji] = ig;
-        grow[ji + static_cast<std::size_t>(hidden_)] = fg;
-        grow[ji + static_cast<std::size_t>(2 * hidden_)] = gg;
-        grow[ji + static_cast<std::size_t>(3 * hidden_)] = og;
-        crow[ji] = fg * cprev[ji] + ig * gg;
-        tcrow[ji] = std::tanh(crow[ji]);
-        hrow[ji] = og * tcrow[ji];
+      for (std::size_t j = 0; j < hsz; ++j) {
+        crow[j] = grow[j + hsz] * cprev[j] + grow[j] * g_gate[j];
       }
+      tanh_rows(crow, tcrow);
+      for (std::size_t j = 0; j < hsz; ++j) hrow[j] = o_gate[j] * tcrow[j];
     }
 
+    sc.gates = std::move(a);
     h = h_next;
     c = sc.c;
     out.set_time_slice(t, h);

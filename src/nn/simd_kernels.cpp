@@ -1,19 +1,25 @@
-// Wide-SIMD GEMM kernels (see simd_kernels.h for the determinism contract).
+// Wide-SIMD GEMM and gate kernels (see simd_kernels.h for the determinism
+// contract).
 //
 // This translation unit MUST be compiled with -ffp-contract=off (enforced
 // in CMakeLists.txt): the AVX targets have FMA, and a contracted fma(a,b,c)
 // rounds once where mul-then-add rounds twice — bitwise divergence from the
-// portable kernel. The explicit _mm512_mul_ps/_mm512_add_ps pairs and the
-// flag together guarantee the compiler never fuses. The matmul_nt kernels
-// are the one deliberate exception: they accumulate exact float×float
-// products in double, where an explicit fused multiply-add rounds exactly
-// like mul-then-add (see simd_kernels.h).
+// portable kernels. The explicit _mm512_mul_ps/_mm512_add_ps pairs and the
+// flag together guarantee the compiler never fuses. The explicit fused
+// steps are deliberate: the matmul_nt kernels accumulate exact float×float
+// products in double, where a fused multiply-add rounds exactly like
+// mul-then-add (see simd_kernels.h), and the gate kernels fuse expf's
+// argument reduction exactly where the scalar port calls std::fma.
 #include "nn/simd_kernels.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstddef>
 #include <cstring>
+#include <limits>
 #include <vector>
+
+#include "nn/gate_math.h"
 
 #if defined(__x86_64__) && defined(__GNUC__)
 #define CPSGUARD_SIMD_X86 1
@@ -265,41 +271,243 @@ void matmul_nt_rows_avx512(const float* a, const float* bt, float* c, int i0,
 
 #undef CPSGUARD_DEFINE_MATMUL_ROWS_BODY
 
-struct Resolved {
-  MatmulRowsFn fn;
-  MatmulNtRowsFn nt;
-  const char* name;
-};
+// ---- gate kernels: gate_kernels.inc over each width's lane operations ----
 
-Resolved resolve() {
-  if (__builtin_cpu_supports("avx512f")) {
-    return {&matmul_rows_avx512, &matmul_nt_rows_avx512, "avx512f"};
-  }
-  if (__builtin_cpu_supports("avx2")) {
-    return {&matmul_rows_avx2,
-            __builtin_cpu_supports("fma") ? &matmul_nt_rows_avx2 : nullptr,
-            "avx2"};
-  }
-  return {nullptr, nullptr, "portable"};
+namespace gm = gate_math;
+
+#pragma GCC push_options
+#pragma GCC target("avx512f")
+#pragma GCC diagnostic push
+#pragma GCC diagnostic ignored "-Wmaybe-uninitialized"  // as for matmul_nt
+
+namespace avx512 {
+
+using F = __m512;
+using I = __m512i;
+using M = __mmask16;
+using D = __m512d;
+using L = __m512i;
+inline constexpr int kLanes = 16;
+
+inline F fset(float v) { return _mm512_set1_ps(v); }
+inline I iset(int v) { return _mm512_set1_epi32(v); }
+inline D dset(double v) { return _mm512_set1_pd(v); }
+inline F add(F a, F b) { return _mm512_add_ps(a, b); }
+inline F sub(F a, F b) { return _mm512_sub_ps(a, b); }
+inline F mul(F a, F b) { return _mm512_mul_ps(a, b); }
+inline F div(F a, F b) { return _mm512_div_ps(a, b); }
+inline D add(D a, D b) { return _mm512_add_pd(a, b); }
+inline D sub(D a, D b) { return _mm512_sub_pd(a, b); }
+inline D mul(D a, D b) { return _mm512_mul_pd(a, b); }
+inline D fmsub(D a, D b, D c) { return _mm512_fmsub_pd(a, b, c); }
+inline I add(I a, I b) { return _mm512_add_epi32(a, b); }
+inline I sub(I a, I b) { return _mm512_sub_epi32(a, b); }
+inline I iand(I a, I b) { return _mm512_and_si512(a, b); }
+inline I ixor(I a, I b) { return _mm512_xor_si512(a, b); }
+inline F select(M m, F a, F b) { return _mm512_mask_blend_ps(m, b, a); }
+inline I select(M m, I a, I b) { return _mm512_mask_blend_epi32(m, b, a); }
+inline M lt(F a, F b) { return _mm512_cmp_ps_mask(a, b, _CMP_LT_OQ); }
+inline M gt(F a, F b) { return _mm512_cmp_ps_mask(a, b, _CMP_GT_OQ); }
+inline M ge(F a, F b) { return _mm512_cmp_ps_mask(a, b, _CMP_GE_OQ); }
+inline M unordered(F a, F b) { return _mm512_cmp_ps_mask(a, b, _CMP_UNORD_Q); }
+inline M lt(I a, I b) { return _mm512_cmplt_epi32_mask(a, b); }
+inline M gt(I a, I b) { return _mm512_cmpgt_epi32_mask(a, b); }
+inline M ge(I a, I b) { return _mm512_cmpge_epi32_mask(a, b); }
+inline M eq(I a, I b) { return _mm512_cmpeq_epi32_mask(a, b); }
+inline M either(M a, M b) { return static_cast<M>(a | b); }
+inline bool any(M m) { return m != 0; }
+inline I bits(F x) { return _mm512_castps_si512(x); }
+inline F floats(I x) { return _mm512_castsi512_ps(x); }
+inline I truncate(F x) { return _mm512_cvttps_epi32(x); }
+inline F to_float(I x) { return _mm512_cvtepi32_ps(x); }
+inline I srlv(I a, I count) { return _mm512_srlv_epi32(a, count); }
+inline I shl23(I a) { return _mm512_slli_epi32(a, 23); }
+inline D widen_lo(F x) { return _mm512_cvtps_pd(_mm512_castps512_ps256(x)); }
+inline D widen_hi(F x) {
+  return _mm512_cvtps_pd(
+      _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(x), 1)));
+}
+inline F narrow_join(D lo, D hi) {
+  const __m512d low = _mm512_castps_pd(_mm512_castps256_ps512(_mm512_cvtpd_ps(lo)));
+  return _mm512_castpd_ps(
+      _mm512_insertf64x4(low, _mm256_castps_pd(_mm512_cvtpd_ps(hi)), 1));
+}
+inline L dbits(D x) { return _mm512_castpd_si512(x); }
+inline D doubles(L x) { return _mm512_castsi512_pd(x); }
+inline L shl47(L x) { return _mm512_slli_epi64(x, 47); }
+inline L add_i64(L a, L b) { return _mm512_add_epi64(a, b); }
+// The 32-entry table sits in four registers: permutex2var picks one of 16
+// entries from a pair by index bits 0-3, and bit 4 picks the pair.
+inline L exp_table(L ki) {
+  const L idx = _mm512_and_si512(ki, _mm512_set1_epi64(gm::kExpTableSize - 1));
+  const std::uint64_t* t = gm::kExpTable;
+  const L low = _mm512_permutex2var_epi64(_mm512_loadu_si512(t), idx,
+                                          _mm512_loadu_si512(t + 8));
+  const L high = _mm512_permutex2var_epi64(_mm512_loadu_si512(t + 16), idx,
+                                           _mm512_loadu_si512(t + 24));
+  return _mm512_mask_blend_epi64(
+      _mm512_test_epi64_mask(idx, _mm512_set1_epi64(16)), low, high);
+}
+inline F load(const float* p) { return _mm512_loadu_ps(p); }
+inline void store(float* p, F v) { _mm512_storeu_ps(p, v); }
+inline M first(int n) { return static_cast<M>((1u << n) - 1u); }
+inline F load_partial(const float* p, int n) {
+  return _mm512_maskz_loadu_ps(first(n), p);
+}
+inline void store_partial(float* p, F v, int n) {
+  _mm512_mask_storeu_ps(p, first(n), v);
 }
 
-const Resolved& resolved() {
-  static const Resolved r = resolve();
-  return r;
+#include "nn/gate_kernels.inc"
+
+}  // namespace avx512
+
+#pragma GCC diagnostic pop
+#pragma GCC pop_options
+
+#pragma GCC push_options
+#pragma GCC target("avx2,fma")
+
+namespace avx2 {
+
+using F = __m256;
+using I = __m256i;
+using M = __m256i;  // all-ones lanes where true
+using D = __m256d;
+using L = __m256i;
+inline constexpr int kLanes = 8;
+
+inline F fset(float v) { return _mm256_set1_ps(v); }
+inline I iset(int v) { return _mm256_set1_epi32(v); }
+inline D dset(double v) { return _mm256_set1_pd(v); }
+inline F add(F a, F b) { return _mm256_add_ps(a, b); }
+inline F sub(F a, F b) { return _mm256_sub_ps(a, b); }
+inline F mul(F a, F b) { return _mm256_mul_ps(a, b); }
+inline F div(F a, F b) { return _mm256_div_ps(a, b); }
+inline D add(D a, D b) { return _mm256_add_pd(a, b); }
+inline D sub(D a, D b) { return _mm256_sub_pd(a, b); }
+inline D mul(D a, D b) { return _mm256_mul_pd(a, b); }
+inline D fmsub(D a, D b, D c) { return _mm256_fmsub_pd(a, b, c); }
+inline I add(I a, I b) { return _mm256_add_epi32(a, b); }
+inline I sub(I a, I b) { return _mm256_sub_epi32(a, b); }
+inline I iand(I a, I b) { return _mm256_and_si256(a, b); }
+inline I ixor(I a, I b) { return _mm256_xor_si256(a, b); }
+inline F select(M m, F a, F b) {
+  return _mm256_blendv_ps(b, a, _mm256_castsi256_ps(m));
+}
+inline I select(M m, I a, I b) { return _mm256_blendv_epi8(b, a, m); }
+inline M lt(F a, F b) { return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_LT_OQ)); }
+inline M gt(F a, F b) { return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_GT_OQ)); }
+inline M ge(F a, F b) { return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_GE_OQ)); }
+inline M unordered(F a, F b) {
+  return _mm256_castps_si256(_mm256_cmp_ps(a, b, _CMP_UNORD_Q));
+}
+inline M lt(I a, I b) { return _mm256_cmpgt_epi32(b, a); }
+inline M gt(I a, I b) { return _mm256_cmpgt_epi32(a, b); }
+inline M ge(I a, I b) { return _mm256_xor_si256(lt(a, b), _mm256_set1_epi32(-1)); }
+inline M eq(I a, I b) { return _mm256_cmpeq_epi32(a, b); }
+inline M either(M a, M b) { return _mm256_or_si256(a, b); }
+inline bool any(M m) { return _mm256_testz_si256(m, m) == 0; }
+inline I bits(F x) { return _mm256_castps_si256(x); }
+inline F floats(I x) { return _mm256_castsi256_ps(x); }
+inline I truncate(F x) { return _mm256_cvttps_epi32(x); }
+inline F to_float(I x) { return _mm256_cvtepi32_ps(x); }
+inline I srlv(I a, I count) { return _mm256_srlv_epi32(a, count); }
+inline I shl23(I a) { return _mm256_slli_epi32(a, 23); }
+inline D widen_lo(F x) { return _mm256_cvtps_pd(_mm256_castps256_ps128(x)); }
+inline D widen_hi(F x) { return _mm256_cvtps_pd(_mm256_extractf128_ps(x, 1)); }
+inline F narrow_join(D lo, D hi) {
+  return _mm256_insertf128_ps(_mm256_castps128_ps256(_mm256_cvtpd_ps(lo)),
+                              _mm256_cvtpd_ps(hi), 1);
+}
+inline L dbits(D x) { return _mm256_castpd_si256(x); }
+inline D doubles(L x) { return _mm256_castsi256_pd(x); }
+inline L shl47(L x) { return _mm256_slli_epi64(x, 47); }
+inline L add_i64(L a, L b) { return _mm256_add_epi64(a, b); }
+inline L exp_table(L ki) {
+  const L idx = _mm256_and_si256(ki, _mm256_set1_epi64x(gm::kExpTableSize - 1));
+  return _mm256_i64gather_epi64(reinterpret_cast<const long long*>(gm::kExpTable),
+                                idx, 8);
+}
+inline F load(const float* p) { return _mm256_loadu_ps(p); }
+inline void store(float* p, F v) { _mm256_storeu_ps(p, v); }
+inline F load_partial(const float* p, int n) {
+  alignas(32) float buf[kLanes] = {};
+  std::memcpy(buf, p, static_cast<std::size_t>(n) * sizeof(float));
+  return _mm256_load_ps(buf);
+}
+inline void store_partial(float* p, F v, int n) {
+  alignas(32) float buf[kLanes];
+  _mm256_store_ps(buf, v);
+  std::memcpy(p, buf, static_cast<std::size_t>(n) * sizeof(float));
+}
+
+#include "nn/gate_kernels.inc"
+
+}  // namespace avx2
+
+#pragma GCC pop_options
+
+std::vector<SimdKernels> detect_kernels() {
+  std::vector<SimdKernels> sets;
+  if (__builtin_cpu_supports("avx512f")) {
+    sets.push_back({"avx512f", &matmul_rows_avx512, &matmul_nt_rows_avx512,
+                    &avx512::sigmoid_rows, &avx512::tanh_rows});
+  }
+  if (__builtin_cpu_supports("avx2")) {
+    const bool fma = __builtin_cpu_supports("fma");
+    sets.push_back({"avx2", &matmul_rows_avx2,
+                    fma ? &matmul_nt_rows_avx2 : nullptr,
+                    fma ? &avx2::sigmoid_rows : nullptr,
+                    fma ? &avx2::tanh_rows : nullptr});
+  }
+  sets.push_back({"portable", nullptr, nullptr, nullptr, nullptr});
+  return sets;
 }
 
 }  // namespace
 
-MatmulRowsFn simd_matmul_rows() { return resolved().fn; }
-MatmulNtRowsFn simd_matmul_nt_rows() { return resolved().nt; }
-const char* simd_kernel_name() { return resolved().name; }
-
 #else  // !CPSGUARD_SIMD_X86
 
-MatmulRowsFn simd_matmul_rows() { return nullptr; }
-MatmulNtRowsFn simd_matmul_nt_rows() { return nullptr; }
-const char* simd_kernel_name() { return "portable"; }
+namespace {
+
+std::vector<SimdKernels> detect_kernels() {
+  return {{"portable", nullptr, nullptr, nullptr, nullptr}};
+}
+
+}  // namespace
 
 #endif
+
+namespace {
+
+// The set every simd_*() call dispatches: the widest one, unless a test
+// has installed a ScopedSimdKernels.
+std::atomic<const SimdKernels*>& active_kernels() {
+  static std::atomic<const SimdKernels*> active{&supported_simd_kernels().front()};
+  return active;
+}
+
+const SimdKernels& dispatched() {
+  return *active_kernels().load(std::memory_order_relaxed);
+}
+
+}  // namespace
+
+const std::vector<SimdKernels>& supported_simd_kernels() {
+  static const std::vector<SimdKernels> sets = detect_kernels();
+  return sets;
+}
+
+MatmulRowsFn simd_matmul_rows() { return dispatched().matmul; }
+MatmulNtRowsFn simd_matmul_nt_rows() { return dispatched().matmul_nt; }
+GateRowsFn simd_sigmoid_rows() { return dispatched().sigmoid; }
+GateRowsFn simd_tanh_rows() { return dispatched().tanh; }
+const char* simd_kernel_name() { return dispatched().name; }
+
+ScopedSimdKernels::ScopedSimdKernels(const SimdKernels& kernels)
+    : previous_(active_kernels().exchange(&kernels)) {}
+
+ScopedSimdKernels::~ScopedSimdKernels() { active_kernels().store(previous_); }
 
 }  // namespace cpsguard::nn

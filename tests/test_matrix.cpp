@@ -6,6 +6,7 @@
 #include <cmath>
 #include <limits>
 
+#include "nn/simd_kernels.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
@@ -155,6 +156,17 @@ TEST(MatmulNt, MatchesTransposedNaive) {
 // references they are contracted to reproduce exactly (see matrix.h): cached
 // monitors and committed figure CSVs depend on these bits not moving.
 
+// Runs `body` under every kernel set this CPU supports, the portable one
+// included, so a wide host checks its narrower SIMD kernels too.
+template <class Body>
+void for_each_kernel(Body body) {
+  for (const SimdKernels& kernels : supported_simd_kernels()) {
+    SCOPED_TRACE(kernels.name);
+    const ScopedSimdKernels use(kernels);
+    body();
+  }
+}
+
 // Float accumulation in ascending reduction order — the naive ikj loop the
 // optimized matmul replaced.
 Matrix reference_matmul_f32(const Matrix& a, const Matrix& b) {
@@ -208,8 +220,10 @@ TEST(Matmul, BitIdenticalToReferenceAcrossShapes) {
   for (const auto& [n, k, m] : shapes) {
     const Matrix a = random_matrix(n, k, rng);
     const Matrix b = random_matrix(k, m, rng);
-    EXPECT_TRUE(matmul(a, b) == reference_matmul_f32(a, b))
-        << "shape " << n << "x" << k << "x" << m;
+    const Matrix want = reference_matmul_f32(a, b);
+    for_each_kernel([&] {
+      EXPECT_TRUE(matmul(a, b) == want) << "shape " << n << "x" << k << "x" << m;
+    });
   }
 }
 
@@ -240,8 +254,10 @@ TEST(MatmulNt, BitIdenticalToReferenceAcrossShapes) {
   for (const auto& [n, k, m] : shapes) {
     const Matrix a = random_matrix(n, k, rng);
     const Matrix b = random_matrix(m, k, rng);
-    EXPECT_TRUE(matmul_nt(a, b) == reference_matmul_nt_f64(a, b))
-        << "shape " << n << "x" << k << "x" << m;
+    const Matrix want = reference_matmul_nt_f64(a, b);
+    for_each_kernel([&] {
+      EXPECT_TRUE(matmul_nt(a, b) == want) << "shape " << n << "x" << k << "x" << m;
+    });
   }
 }
 
@@ -258,13 +274,15 @@ TEST(MatmulNt, SumsInAscendingReductionOrder) {
     a.at(i, 1) = -0x1p60f;
   }
   for (int j = 0; j < b.rows(); ++j) b.at(j, 0) = b.at(j, 1) = 1.0f;
-  const Matrix got = matmul_nt(a, b);
-  EXPECT_TRUE(got == reference_matmul_nt_f64(a, b));
-  EXPECT_NE(got.max_abs(), 0.0f);
+  for_each_kernel([&] {
+    const Matrix got = matmul_nt(a, b);
+    EXPECT_TRUE(got == reference_matmul_nt_f64(a, b));
+    EXPECT_NE(got.max_abs(), 0.0f);
+  });
 }
 
-// NaN and ±Inf through the dispatched kernel (enough rows to stage Bᵀ):
-// every element matches the reference, NaN where the reference is NaN.
+// NaN and ±Inf through every kernel (enough rows to stage Bᵀ): every
+// element matches the reference, NaN where the reference is NaN.
 TEST(MatmulNt, PropagatesNanAndInfThroughDispatchedKernel) {
   const float nan = std::numeric_limits<float>::quiet_NaN();
   const float inf = std::numeric_limits<float>::infinity();
@@ -276,25 +294,27 @@ TEST(MatmulNt, PropagatesNanAndInfThroughDispatchedKernel) {
   b.at(2, 5) = -inf;  // column 2: -Inf times each row's a(i, 5)
   b.at(6, 7) = 0.0f;
   a.at(7, 7) = inf;   // 0 * Inf = NaN at (7, 6)
-  const Matrix got = matmul_nt(a, b);
   const Matrix want = reference_matmul_nt_f64(a, b);
-  int nans = 0, infs = 0;
-  for (int i = 0; i < got.rows(); ++i) {
-    for (int j = 0; j < got.cols(); ++j) {
-      const float g = got.at(i, j), w = want.at(i, j);
-      if (std::isnan(w)) {
-        EXPECT_TRUE(std::isnan(g)) << "at (" << i << "," << j << ")";
-        ++nans;
-      } else {
-        EXPECT_EQ(g, w) << "at (" << i << "," << j << ")";
-        infs += std::isinf(w) ? 1 : 0;
+  for_each_kernel([&] {
+    const Matrix got = matmul_nt(a, b);
+    int nans = 0, infs = 0;
+    for (int i = 0; i < got.rows(); ++i) {
+      for (int j = 0; j < got.cols(); ++j) {
+        const float g = got.at(i, j), w = want.at(i, j);
+        if (std::isnan(w)) {
+          EXPECT_TRUE(std::isnan(g)) << "at (" << i << "," << j << ")";
+          ++nans;
+        } else {
+          EXPECT_EQ(g, w) << "at (" << i << "," << j << ")";
+          infs += std::isinf(w) ? 1 : 0;
+        }
       }
     }
-  }
-  EXPECT_TRUE(std::isnan(got.at(1, 0)));
-  EXPECT_TRUE(std::isnan(got.at(7, 6)));
-  EXPECT_GT(nans, got.cols());  // row 1 and more
-  EXPECT_GT(infs, 0);
+    EXPECT_TRUE(std::isnan(got.at(1, 0)));
+    EXPECT_TRUE(std::isnan(got.at(7, 6)));
+    EXPECT_GT(nans, got.cols());  // row 1 and more
+    EXPECT_GT(infs, 0);
+  });
 }
 
 // The old kernels skipped a == 0.0f reduction steps, which silently
