@@ -101,6 +101,23 @@ void BM_LstmForward(benchmark::State& state) {
 // 16 is the serve_lstm_steady tick flush, 870 the Fig. 9 sweep's test set.
 BENCHMARK(BM_LstmForward)->Arg(16)->Arg(64)->Arg(256)->Arg(870);
 
+// One LSTM(128) layer over a 6-step window: the const infer against the
+// caching forward, so the cost of recording the step cache shows per layer.
+void BM_LstmLayer(benchmark::State& state, bool record) {
+  const auto batch = static_cast<int>(state.range(0));
+  util::Rng rng(9);
+  nn::LstmLayer lstm(9, 128, rng);
+  const nn::Tensor3 x = random_tensor(batch, 6, 9, rng);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(record ? lstm.forward(x) : lstm.infer(x));
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+void BM_LstmInfer(benchmark::State& state) { BM_LstmLayer(state, false); }
+void BM_LstmLayerForward(benchmark::State& state) { BM_LstmLayer(state, true); }
+BENCHMARK(BM_LstmInfer)->Arg(16)->Arg(870);
+BENCHMARK(BM_LstmLayerForward)->Arg(16)->Arg(870);
+
 // One LSTM(128) gate row, 4 x 128 pre-activations drawn from N(0, 2),
 // through the dispatched sigmoid or tanh kernel.
 void BM_GateMath(benchmark::State& state,

@@ -2,12 +2,13 @@
 // per-session OnlineMonitor loop (batch-1 inference) vs serve::Engine
 // (cross-session micro-batched inference), at equal thread count.
 //
-// Baseline partitions the sessions across T threads; each thread owns a
-// private clone of the trained monitor and a dedicated OnlineMonitor per
-// session, so it runs with zero synchronization — the strongest fair
-// baseline for "one monitor instance per patient". The engine run ingests
-// the same records round-robin from one thread and ticks every cycle,
-// fanning the shard flushes across the same T-way parallelism.
+// Baseline partitions the sessions across T threads; every thread reads the
+// one trained monitor (inference is const) through a dedicated
+// OnlineMonitor per session, so it runs with zero synchronization — the
+// strongest fair baseline for "one monitor instance per patient". The
+// engine run ingests the same records round-robin from one thread and
+// ticks every cycle, fanning the shard flushes across the same T-way
+// parallelism.
 //
 // Both modes stream identical records, warm the windows unmeasured, and
 // then time `--cycles` steady-state cycles; the verdict counts must match
@@ -21,8 +22,8 @@
 //   --deterministic B engine deterministic mode          (default false)
 //   --swap-every N    hot self-swap every N engine cycles (0 = off,
 //                     default 0) — measures steady-state cost of the
-//                     epoch-boundary swap protocol (per-shard clone and
-//                     activation) without changing the verdicts
+//                     epoch-boundary swap protocol (one model copy per
+//                     swap, activation) without changing the verdicts
 #include <algorithm>
 #include <chrono>
 #include <functional>
@@ -81,20 +82,17 @@ int main(int argc, char** argv) {
   const std::vector<sim::Trace>& traces = exp.test_traces();
 
   // ---- Baseline: per-session OnlineMonitors, sessions striped over T
-  // threads, each thread on a private monitor clone. Warm-up fills every
-  // window (window-1 cycles emit nothing), then `cycles` cycles are timed.
+  // threads, all on the one shared monitor. Warm-up fills every window
+  // (window-1 cycles emit nothing), then `cycles` cycles are timed.
   long long base_verdicts = 0;
   double base_seconds = 0.0;
   {
-    std::vector<std::unique_ptr<monitor::MlMonitor>> clones;
-    clones.reserve(static_cast<std::size_t>(threads));
-    for (int w = 0; w < threads; ++w) clones.push_back(mon.clone());
     std::vector<std::vector<core::OnlineMonitor>> monitors(
         static_cast<std::size_t>(threads));
     std::vector<std::vector<int>> ids(static_cast<std::size_t>(threads));
     for (int s = 0; s < sessions; ++s) {
       const auto w = static_cast<std::size_t>(s % threads);
-      monitors[w].emplace_back(*clones[w], window);
+      monitors[w].emplace_back(mon, window);
       ids[w].push_back(s);
     }
     const auto stream = [&](int worker, int from, int to,

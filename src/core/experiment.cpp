@@ -571,8 +571,8 @@ std::vector<EvalResult> Experiment::evaluate_under_gaussian_sweep(
     const MonitorVariant& v, std::span<const double> sigma_factors,
     std::uint64_t noise_seed) {
   // Hydrate every memoized structure before fanning out: the parallel
-  // bodies must not touch the mutable maps.
-  monitor::MlMonitor& mon = monitor(v);
+  // bodies must not touch the mutable maps. They share `mon` read-only.
+  const monitor::MlMonitor& mon = monitor(v);
   const std::vector<int>& clean = clean_predictions(v);
   const monitor::Dataset& test = data_->test;
 
@@ -586,17 +586,15 @@ std::vector<EvalResult> Experiment::evaluate_under_gaussian_sweep(
   return run_checkpointed_sweep(
       "gaussian", v, sigma_factors, noise_seed, /*prepare=*/{}, [&](int i) {
         const auto si = static_cast<std::size_t>(i);
-        // Forward passes mutate layer caches → one clone per sweep point. The
-        // noise RNG is keyed on the seed alone (not the point index), exactly
-        // as the serial loop over evaluate_under_gaussian() seeded it, so the
-        // outputs stay bit-identical to a serial sweep.
-        const std::unique_ptr<monitor::MlMonitor> local = mon.clone();
+        // The noise RNG is keyed on the seed alone (not the point index),
+        // exactly as the serial loop over evaluate_under_gaussian() seeded
+        // it, so the outputs stay bit-identical to a serial sweep.
         attack::GaussianNoiseConfig gc;
         gc.sigma_factor = sigma_factors[si];
         util::Rng rng(noise_seed, 0x4e4f4953u /* 'NOIS' */);
         const nn::Tensor3 noisy =
-            attack::add_gaussian_noise(test.x, local->scaler(), gc, rng);
-        const std::vector<int> preds = local->predict(noisy);
+            attack::add_gaussian_noise(test.x, mon.scaler(), gc, rng);
+        const std::vector<int> preds = mon.predict(noisy);
         EvalResult r;
         r.confusion =
             eval::evaluate_with_tolerance(test, preds, config_.tolerance_delta);
@@ -620,9 +618,9 @@ std::vector<EvalResult> Experiment::evaluate_under_fgsm_sweep(
   CPSGUARD_OBS_EVENT("sweep.fgsm", obs::f("model", v.name()),
                      obs::f("points", static_cast<int>(epsilons.size())));
 
-  // The input gradient does not depend on ε: one per curve, then every
-  // point applies its ε to it. Points still predict on their own clone
-  // because forward passes mutate layer caches.
+  // The input gradient does not depend on ε: one per curve, computed
+  // before the fan-out, then every point applies its ε to it and predicts
+  // on the shared monitor.
   nn::Tensor3 grad;
   return run_checkpointed_sweep(
       "fgsm", v, epsilons, static_cast<std::uint64_t>(mask),
@@ -631,12 +629,11 @@ std::vector<EvalResult> Experiment::evaluate_under_fgsm_sweep(
       },
       [&](int i) {
         const auto si = static_cast<std::size_t>(i);
-        const std::unique_ptr<monitor::MlMonitor> local = mon.clone();
         attack::FgsmConfig fc;
         fc.epsilon = epsilons[si];
         fc.mask = mask;
         const nn::Tensor3 adv = attack::fgsm_apply(scaled, grad, fc);
-        const std::vector<int> preds = local->predict_scaled(adv);
+        const std::vector<int> preds = mon.predict_scaled(adv);
         EvalResult r;
         r.confusion =
             eval::evaluate_with_tolerance(test, preds, config_.tolerance_delta);
@@ -647,7 +644,7 @@ std::vector<EvalResult> Experiment::evaluate_under_fgsm_sweep(
 
 std::vector<EvalResult> Experiment::evaluate_under_blackbox_sweep(
     const MonitorVariant& v, std::span<const double> epsilons) {
-  monitor::MlMonitor& mon = monitor(v);
+  const monitor::MlMonitor& mon = monitor(v);
   const std::vector<int>& clean = clean_predictions(v);
   const nn::Tensor3& scaled = scaled_test_input(v);
   const monitor::Dataset& test = data_->test;
@@ -670,11 +667,10 @@ std::vector<EvalResult> Experiment::evaluate_under_blackbox_sweep(
       },
       [&](int i) {
         const auto si = static_cast<std::size_t>(i);
-        const std::unique_ptr<monitor::MlMonitor> local = mon.clone();
         attack::FgsmConfig fc;
         fc.epsilon = epsilons[si];
         const nn::Tensor3 adv = attack::fgsm_apply(scaled, grad, fc);
-        const std::vector<int> preds = local->predict_scaled(adv);
+        const std::vector<int> preds = mon.predict_scaled(adv);
         EvalResult r;
         r.confusion =
             eval::evaluate_with_tolerance(test, preds, config_.tolerance_delta);

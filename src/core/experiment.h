@@ -170,13 +170,13 @@ class Experiment {
   /// Sweep variants of the three perturbation evaluations. Each hydrates
   /// the memoized state (monitor, clean predictions, scaled test input)
   /// once, then evaluates the sweep points in parallel on the shared pool,
-  /// giving every point its own monitor clone. The FGSM and black-box
+  /// every point predicting on the one const monitor. The FGSM and black-box
   /// sweeps compute their ε-independent input gradient once per curve,
   /// before the fan-out (the black-box one on the memoized substitute), and
   /// skip it when every point resumes from the checkpoint store.
   /// Results are bit-identical to calling the pointwise methods in a loop:
-  /// clones carry identical weights and each point re-derives the same RNG
-  /// stream the pointwise method would use.
+  /// inference reads only the weights, and each point re-derives the same
+  /// RNG stream the pointwise method would use.
   ///
   /// With a checkpoint store attached the sweeps are resumable: every
   /// completed point is persisted, already-stored points are reused instead

@@ -5,7 +5,7 @@
 
 namespace cpsguard::core {
 
-OnlineMonitor::OnlineMonitor(monitor::MlMonitor& monitor, int window)
+OnlineMonitor::OnlineMonitor(const monitor::MlMonitor& monitor, int window)
     : monitor_(monitor),
       // RingWindow's contract rejects window <= 0.
       ring_(window, monitor::Features::kNumFeatures),

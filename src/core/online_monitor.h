@@ -25,7 +25,7 @@ struct OnlineVerdict {
 class OnlineMonitor {
  public:
   /// `monitor` must outlive this wrapper and already be trained.
-  OnlineMonitor(monitor::MlMonitor& monitor, int window);
+  OnlineMonitor(const monitor::MlMonitor& monitor, int window);
 
   /// Feed the record of the cycle that just executed; returns the verdict
   /// for the current window (not ready until `window` cycles have arrived).
@@ -38,7 +38,7 @@ class OnlineMonitor {
   [[nodiscard]] int cycles_seen() const { return cycles_seen_; }
 
  private:
-  monitor::MlMonitor& monitor_;
+  const monitor::MlMonitor& monitor_;
   int cycles_seen_ = 0;
   serve::RingWindow ring_;
   nn::Tensor3 x_;  // reused (1, window, features) inference input

@@ -69,7 +69,8 @@ double ResilienceTelemetry::mean_recovery_latency() const {
          static_cast<double>(recoveries);
 }
 
-ResilientMonitor::ResilientMonitor(monitor::MlMonitor& ml, ResilientConfig config)
+ResilientMonitor::ResilientMonitor(const monitor::MlMonitor& ml,
+                                   ResilientConfig config)
     : ml_(ml),
       rules_(config.bg_target),
       config_(config),

@@ -119,7 +119,7 @@ struct ResilientVerdict {
 class ResilientMonitor {
  public:
   /// `ml` must outlive this wrapper and already be trained.
-  ResilientMonitor(monitor::MlMonitor& ml, ResilientConfig config = {});
+  ResilientMonitor(const monitor::MlMonitor& ml, ResilientConfig config = {});
 
   /// Feed the record of the cycle that just executed; validates it, advances
   /// the state machine, and returns the verdict of the active path.
@@ -138,7 +138,7 @@ class ResilientMonitor {
   [[nodiscard]] ResilientVerdict rule_verdict(const sim::StepRecord& r) const;
   void push_history(const sim::StepRecord& r);
 
-  monitor::MlMonitor& ml_;
+  const monitor::MlMonitor& ml_;
   safety::RuleBasedMonitor rules_;
   ResilientConfig config_;
   InputValidator validator_;

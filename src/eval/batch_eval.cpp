@@ -1,29 +1,12 @@
 #include "eval/batch_eval.h"
 
-#include <algorithm>
 #include <cmath>
-#include <numeric>
 #include <string>
 
 #include "util/contracts.h"
 #include "util/error.h"
-#include "util/thread_pool.h"
 
 namespace cpsguard::eval {
-
-namespace {
-
-// Chunked fan-out is only worth the clone cost (scaler + full weight copy
-// per chunk) when several chunks can actually run concurrently. Consults
-// the *configured* parallelism only: a caller doing serial single-window
-// predictions must never cause the process-wide pool to spawn its workers
-// (parallel_for instantiates it lazily iff we actually fan out).
-bool worth_chunking(int batch, int chunk) {
-  return batch > 2 * chunk && util::effective_parallelism() > 1 &&
-         !util::in_parallel_region();
-}
-
-}  // namespace
 
 int argmax_row(std::span<const float> probs) {
   expects(!probs.empty(), "argmax over an empty probability row");
@@ -41,60 +24,19 @@ int argmax_row(std::span<const float> probs) {
   return best;
 }
 
-namespace {
-
-nn::Matrix batched_proba_impl(monitor::MlMonitor& mon,
-                              const nn::Tensor3& windows, int chunk,
-                              bool prescaled) {
-  expects(mon.trained(), "monitor not trained");
-  expects(chunk > 0, "chunk size must be positive");
-  const auto one_call = [&](monitor::MlMonitor& m, const nn::Tensor3& x) {
-    return prescaled ? m.predict_proba_scaled(x) : m.predict_proba(x);
-  };
-  const int batch = windows.batch();
-  if (!worth_chunking(batch, chunk)) return one_call(mon, windows);
-
-  const int chunks = (batch + chunk - 1) / chunk;
-  std::vector<nn::Matrix> parts(static_cast<std::size_t>(chunks));
-  util::parallel_for(chunks, [&](int c) {
-    const int b0 = c * chunk;
-    const int b1 = std::min(batch, b0 + chunk);
-    std::vector<int> idx(static_cast<std::size_t>(b1 - b0));
-    std::iota(idx.begin(), idx.end(), b0);
-    const std::unique_ptr<monitor::MlMonitor> local = mon.clone();
-    parts[static_cast<std::size_t>(c)] = one_call(*local, windows.gather(idx));
-  });
-
-  const int classes = parts.front().cols();
-  nn::Matrix out(batch, classes);
-  int row = 0;
-  for (const nn::Matrix& part : parts) {
-    for (int r = 0; r < part.rows(); ++r, ++row) {
-      std::copy(part.row(r).begin(), part.row(r).end(), out.row(row).begin());
-    }
-  }
-  ensures(row == batch, "stitched row count must match the batch");
-  return out;
+nn::Matrix batched_predict_proba(const monitor::MlMonitor& mon,
+                                 const nn::Tensor3& raw_windows) {
+  return mon.predict_proba(raw_windows);
 }
 
-}  // namespace
-
-nn::Matrix batched_predict_proba(monitor::MlMonitor& mon,
-                                 const nn::Tensor3& raw_windows,
-                                 int chunk) {
-  return batched_proba_impl(mon, raw_windows, chunk, /*prescaled=*/false);
+nn::Matrix batched_predict_proba_scaled(const monitor::MlMonitor& mon,
+                                        const nn::Tensor3& scaled_windows) {
+  return mon.predict_proba_scaled(scaled_windows);
 }
 
-nn::Matrix batched_predict_proba_scaled(monitor::MlMonitor& mon,
-                                        const nn::Tensor3& scaled_windows,
-                                        int chunk) {
-  return batched_proba_impl(mon, scaled_windows, chunk, /*prescaled=*/true);
-}
-
-std::vector<int> batched_predict(monitor::MlMonitor& mon,
-                                 const nn::Tensor3& raw_windows,
-                                 int chunk) {
-  const nn::Matrix probs = batched_predict_proba(mon, raw_windows, chunk);
+std::vector<int> batched_predict(const monitor::MlMonitor& mon,
+                                 const nn::Tensor3& raw_windows) {
+  const nn::Matrix probs = mon.predict_proba(raw_windows);
   std::vector<int> out(static_cast<std::size_t>(probs.rows()));
   for (int r = 0; r < probs.rows(); ++r) {
     try {

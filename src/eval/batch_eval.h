@@ -1,11 +1,12 @@
-// Batched monitor inference for large evaluation sets: splits the window
-// batch into contiguous chunks and runs them across the shared thread pool.
+// Batched monitor inference under the evaluation classification contract.
 //
-// Determinism: every per-window forward pass is independent of its batch
-// neighbours (matmul rows, ReLU, softmax and the recurrent time loops are
-// all row-local), so a chunked run produces bit-identical probabilities to
-// one full-batch call. Classifier forward passes mutate layer caches, so
-// each parallel chunk works on its own MlMonitor clone.
+// Each call is one MlMonitor predict over the whole batch. Every per-window
+// forward pass is independent of its batch neighbours (matmul rows, ReLU,
+// softmax and the recurrent time loops are all row-local), so any split of
+// the batch — serve's partial flushes included — produces bit-identical
+// rows; the large products inside the forward pass already fan out across
+// the shared pool. Inference is const, so callers on several threads may
+// share one monitor.
 #pragma once
 
 #include <span>
@@ -26,25 +27,20 @@ namespace cpsguard::eval {
 ///     contract, never accept-then-misclassify).
 int argmax_row(std::span<const float> probs);
 
-/// Class probabilities for every window, computed chunk-parallel.
-/// Bit-identical to `mon.predict_proba(raw_windows)`.
-nn::Matrix batched_predict_proba(monitor::MlMonitor& mon,
-                                 const nn::Tensor3& raw_windows,
-                                 int chunk = 512);
+/// Class probabilities for every window: `mon.predict_proba(raw_windows)`.
+nn::Matrix batched_predict_proba(const monitor::MlMonitor& mon,
+                                 const nn::Tensor3& raw_windows);
 
 /// Same, for windows already in the scaled model space (the streaming
-/// engine scales each window as it stages it into the micro-batch).
-/// Bit-identical to
+/// engine scales each window as it stages it into the micro-batch):
 /// `mon.predict_proba_scaled(scaled_windows)`.
-nn::Matrix batched_predict_proba_scaled(monitor::MlMonitor& mon,
-                                        const nn::Tensor3& scaled_windows,
-                                        int chunk = 512);
+nn::Matrix batched_predict_proba_scaled(const monitor::MlMonitor& mon,
+                                        const nn::Tensor3& scaled_windows);
 
-/// Argmax classes for every window, computed chunk-parallel via
-/// argmax_row: bit-identical to `mon.predict(raw_windows)` on NaN-free
-/// probabilities, CpsError when any window's probabilities contain NaN.
-std::vector<int> batched_predict(monitor::MlMonitor& mon,
-                                 const nn::Tensor3& raw_windows,
-                                 int chunk = 512);
+/// Argmax classes for every window via argmax_row: bit-identical to
+/// `mon.predict(raw_windows)` on NaN-free probabilities, CpsError when any
+/// window's probabilities contain NaN.
+std::vector<int> batched_predict(const monitor::MlMonitor& mon,
+                                 const nn::Tensor3& raw_windows);
 
 }  // namespace cpsguard::eval

@@ -266,19 +266,17 @@ OracleReport oracle_batched_predict(int cases, std::uint64_t seed) {
   monitor::MlMonitor& mon = oracle_monitor(ds);
   util::Rng rng(seed, 0x42415443ULL);
   for (int c = 0; c < cases; ++c) {
-    // Random batch of windows, random chunk size (often forcing several
-    // chunks so the parallel stitch path actually runs).
+    // Random batch of windows.
     const int batch = rng.uniform_int(1, ds.size());
     std::vector<int> idx(static_cast<std::size_t>(batch));
     for (int& i : idx) i = rng.uniform_int(0, ds.size() - 1);
     const nn::Tensor3 windows = ds.x.gather(idx);
-    const int chunk = rng.uniform_int(1, batch);
-    const nn::Matrix batched =
-        eval::batched_predict_proba(mon, windows, chunk);
+    const nn::Matrix batched = eval::batched_predict_proba(mon, windows);
 
     // Per-row reference: every window predicted alone must reproduce its
     // batched row bit-for-bit (row-local forward passes, the documented
-    // batch_eval determinism contract).
+    // batch_eval determinism contract that serve's partial flushes rely
+    // on).
     bool ok = batched.rows() == batch;
     for (int r = 0; ok && r < batch; ++r) {
       const int one[] = {r};
@@ -288,8 +286,7 @@ OracleReport oracle_batched_predict(int cases, std::uint64_t seed) {
                        static_cast<std::size_t>(row.cols()) * sizeof(float)) == 0;
     }
     record(report, ok,
-           "batched_predict mismatch at batch=" + std::to_string(batch) +
-               " chunk=" + std::to_string(chunk));
+           "batched_predict mismatch at batch=" + std::to_string(batch));
   }
   return report;
 }

@@ -14,8 +14,9 @@
 //     (the kernels reproduce the ports' NaN payloads). One case is one
 //     65 536-pattern block of the float bit space, visited in a seeded
 //     permutation of all 2^16 blocks, so --cases=65536 is exhaustive;
-//   batched_predict — chunk-parallel eval::batched_predict_proba vs. a
-//     per-row reference on the same trained monitor, bit-identical;
+//   batched_predict — eval::batched_predict_proba on a random batch vs.
+//     each window predicted alone on the same trained monitor,
+//     bit-identical (row locality);
 //   cusum — streaming CusumDetector vs. a from-scratch batch recompute,
 //     bit-identical sums and alarm index;
 //   pr_curve — precision_recall_curve / average_precision vs. an O(n²)

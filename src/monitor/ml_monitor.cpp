@@ -1,7 +1,6 @@
 #include "monitor/ml_monitor.h"
 
 #include <fstream>
-#include <sstream>
 
 #include "nn/gru_classifier.h"
 #include "nn/lstm_classifier.h"
@@ -143,22 +142,24 @@ TrainReport MlMonitor::train(const Dataset& train_data) {
   return report;
 }
 
-std::vector<int> MlMonitor::predict(const nn::Tensor3& raw_windows) {
+std::vector<int> MlMonitor::predict(const nn::Tensor3& raw_windows) const {
   expects(trained(), "monitor not trained");
   return predict_scaled(scaler_.transform(raw_windows));
 }
 
-nn::Matrix MlMonitor::predict_proba(const nn::Tensor3& raw_windows) {
+nn::Matrix MlMonitor::predict_proba(const nn::Tensor3& raw_windows) const {
   expects(trained(), "monitor not trained");
   return clf_->predict_proba(scaler_.transform(raw_windows));
 }
 
-std::vector<int> MlMonitor::predict_scaled(const nn::Tensor3& scaled_windows) {
+std::vector<int> MlMonitor::predict_scaled(
+    const nn::Tensor3& scaled_windows) const {
   expects(trained(), "monitor not trained");
   return nn::predict_classes(*clf_, scaled_windows);
 }
 
-nn::Matrix MlMonitor::predict_proba_scaled(const nn::Tensor3& scaled_windows) {
+nn::Matrix MlMonitor::predict_proba_scaled(
+    const nn::Tensor3& scaled_windows) const {
   expects(trained(), "monitor not trained");
   return clf_->predict_proba(scaled_windows);
 }
@@ -193,15 +194,16 @@ void MlMonitor::save(std::ostream& os) const {
 
 std::unique_ptr<MlMonitor> MlMonitor::clone() const {
   expects(trained(), "monitor not trained");
-  std::stringstream buf(std::ios::in | std::ios::out | std::ios::binary);
-  scaler_.save(buf);
-  const auto src_params = clf_->params();
-  nn::save_params(buf, src_params);
   auto out = std::make_unique<MlMonitor>(config_);
-  out->scaler_.load(buf);
+  out->scaler_ = scaler_;
   out->build_classifier(clf_->time_steps(), clf_->features());
-  const auto dst_params = out->clf_->params();
-  nn::load_params(buf, dst_params);
+  const auto src = clf_->params();
+  const auto dst = out->clf_->params();
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    const nn::Matrix& v = src[i]->value;
+    dst[i]->value = nn::Matrix(v.rows(), v.cols(),
+                               {v.data().begin(), v.data().end()});
+  }
   return out;
 }
 

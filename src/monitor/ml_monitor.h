@@ -67,14 +67,17 @@ class MlMonitor {
 
   [[nodiscard]] bool trained() const { return clf_ != nullptr; }
 
-  /// Predict on raw (unscaled) windows.
-  std::vector<int> predict(const nn::Tensor3& raw_windows);
-  nn::Matrix predict_proba(const nn::Tensor3& raw_windows);
+  /// Predict on raw (unscaled) windows. Every predict call is const and
+  /// records nothing, so any number of threads may share one monitor.
+  [[nodiscard]] std::vector<int> predict(const nn::Tensor3& raw_windows) const;
+  [[nodiscard]] nn::Matrix predict_proba(const nn::Tensor3& raw_windows) const;
 
   /// Predict on windows already in the scaled model space (attack surface,
   /// and the streaming engine, which scales each window as it stages it).
-  std::vector<int> predict_scaled(const nn::Tensor3& scaled_windows);
-  nn::Matrix predict_proba_scaled(const nn::Tensor3& scaled_windows);
+  [[nodiscard]] std::vector<int> predict_scaled(
+      const nn::Tensor3& scaled_windows) const;
+  [[nodiscard]] nn::Matrix predict_proba_scaled(
+      const nn::Tensor3& scaled_windows) const;
 
   [[nodiscard]] const MonitorConfig& config() const { return config_; }
   [[nodiscard]] const StandardScaler& scaler() const;
@@ -99,10 +102,11 @@ class MlMonitor {
   void bind(std::istream& scaler_stream, int window, int features,
             std::span<const nn::WeightView> weights);
 
-  /// Deep copy of a trained monitor (config + scaler + weights). Classifier
-  /// forward passes mutate layer caches, so concurrent evaluation fan-outs
-  /// give each task its own clone; identical weights guarantee identical
-  /// predictions, keeping parallel sweeps bit-identical to serial ones.
+  /// Deep copy of a trained monitor (config + scaler + weights) into owned
+  /// storage, view-bound weights included. Concurrent readers need no
+  /// copy (predict is const); a copy is for an owner that must not depend
+  /// on the source's lifetime or backing file — the serve engine takes one
+  /// per model version.
   [[nodiscard]] std::unique_ptr<MlMonitor> clone() const;
 
  private:

@@ -159,12 +159,16 @@ void tanh_rows(std::span<const float> x, std::span<float> y) {
   for (std::size_t i = 0; i < x.size(); ++i) y[i] = tanhf_port(x[i]);
 }
 
-Matrix Relu::forward(const Matrix& x, bool /*training*/) {
+Matrix Relu::infer(const Matrix& x) const {
   expects(x.cols() == size_, "ReLU: width mismatch");
   Matrix y = x;
   for (float& v : y.data()) v = v > 0.0f ? v : 0.0f;
-  cached_output_ = y;
   return y;
+}
+
+Matrix Relu::forward(const Matrix& x) {
+  cached_output_ = infer(x);
+  return cached_output_;
 }
 
 Matrix Relu::backward(const Matrix& dy) {
@@ -179,12 +183,16 @@ Matrix Relu::backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix Tanh::forward(const Matrix& x, bool /*training*/) {
+Matrix Tanh::infer(const Matrix& x) const {
   expects(x.cols() == size_, "Tanh: width mismatch");
   Matrix y = x;
   tanh_rows(y.data(), y.data());
-  cached_output_ = y;
   return y;
+}
+
+Matrix Tanh::forward(const Matrix& x) {
+  cached_output_ = infer(x);
+  return cached_output_;
 }
 
 Matrix Tanh::backward(const Matrix& dy) {
@@ -197,12 +205,16 @@ Matrix Tanh::backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix Sigmoid::forward(const Matrix& x, bool /*training*/) {
+Matrix Sigmoid::infer(const Matrix& x) const {
   expects(x.cols() == size_, "Sigmoid: width mismatch");
   Matrix y = x;
   sigmoid_rows(y.data(), y.data());
-  cached_output_ = y;
   return y;
+}
+
+Matrix Sigmoid::forward(const Matrix& x) {
+  cached_output_ = infer(x);
+  return cached_output_;
 }
 
 Matrix Sigmoid::backward(const Matrix& dy) {

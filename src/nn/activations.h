@@ -31,7 +31,8 @@ class Relu : public Layer {
  public:
   explicit Relu(int size) : size_(size) {}
 
-  Matrix forward(const Matrix& x, bool training) override;
+  [[nodiscard]] Matrix infer(const Matrix& x) const override;
+  Matrix forward(const Matrix& x) override;
   Matrix backward(const Matrix& dy) override;
 
   [[nodiscard]] std::string name() const override { return "ReLU"; }
@@ -47,7 +48,8 @@ class Tanh : public Layer {
  public:
   explicit Tanh(int size) : size_(size) {}
 
-  Matrix forward(const Matrix& x, bool training) override;
+  [[nodiscard]] Matrix infer(const Matrix& x) const override;
+  Matrix forward(const Matrix& x) override;
   Matrix backward(const Matrix& dy) override;
 
   [[nodiscard]] std::string name() const override { return "Tanh"; }
@@ -63,7 +65,8 @@ class Sigmoid : public Layer {
  public:
   explicit Sigmoid(int size) : size_(size) {}
 
-  Matrix forward(const Matrix& x, bool training) override;
+  [[nodiscard]] Matrix infer(const Matrix& x) const override;
+  Matrix forward(const Matrix& x) override;
   Matrix backward(const Matrix& dy) override;
 
   [[nodiscard]] std::string name() const override { return "Sigmoid"; }

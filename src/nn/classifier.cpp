@@ -21,7 +21,7 @@ void Classifier::zero_grad() {
   for (Param* p : params()) p->zero_grad();
 }
 
-std::vector<int> predict_classes(Classifier& clf, const Tensor3& x) {
+std::vector<int> predict_classes(const Classifier& clf, const Tensor3& x) {
   const Matrix probs = clf.predict_proba(x);
   std::vector<int> out(static_cast<std::size_t>(probs.rows()));
   for (int r = 0; r < probs.rows(); ++r) {
@@ -61,17 +61,17 @@ std::string MlpClassifier::arch() const {
   return s + ")";
 }
 
-Matrix MlpClassifier::predict_proba(const Tensor3& x) {
+Matrix MlpClassifier::predict_proba(const Tensor3& x) const {
   expects(x.time() == time_steps_ && x.features() == features_,
           "MLP: window shape mismatch");
-  return softmax_rows(net_.forward(x.flatten(), /*training=*/false));
+  return softmax_rows(net_.infer(x.flatten()));
 }
 
 double MlpClassifier::accumulate_gradients(
     const Tensor3& x, std::span<const int> labels,
     std::span<const float> semantic_targets, const Loss& loss) {
   expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
-  const Matrix logits = net_.forward(x.flatten(), /*training=*/true);
+  const Matrix logits = net_.forward(x.flatten());
   const LossResult lr = loss.compute(logits, labels, semantic_targets);
   net_.backward(lr.dlogits);
   return lr.loss;
@@ -81,7 +81,7 @@ Tensor3 MlpClassifier::loss_input_gradient(const Tensor3& x,
                                            std::span<const int> labels) {
   expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
   zero_grad();
-  const Matrix logits = net_.forward(x.flatten(), /*training=*/false);
+  const Matrix logits = net_.forward(x.flatten());
   const SoftmaxCrossEntropy ce;
   const LossResult lr = ce.compute(logits, labels, {});
   const Matrix dx = net_.backward(lr.dlogits);

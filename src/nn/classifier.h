@@ -29,8 +29,9 @@ class Classifier {
   [[nodiscard]] virtual int features() const = 0;
   [[nodiscard]] virtual std::string arch() const = 0;
 
-  /// Softmax probabilities, [batch, classes]. Inference mode (no dropout).
-  virtual Matrix predict_proba(const Tensor3& x) = 0;
+  /// Softmax probabilities, [batch, classes]. Const: inference records no
+  /// training cache, so one classifier serves concurrent callers.
+  [[nodiscard]] virtual Matrix predict_proba(const Tensor3& x) const = 0;
 
   /// Forward + loss + backward: accumulates parameter gradients (without
   /// applying an update) and returns the batch loss. Grad buffers are *not*
@@ -56,7 +57,7 @@ class Classifier {
 };
 
 /// Argmax over predict_proba rows.
-std::vector<int> predict_classes(Classifier& clf, const Tensor3& x);
+std::vector<int> predict_classes(const Classifier& clf, const Tensor3& x);
 
 /// Multi-layer perceptron over the flattened window.
 /// Paper architecture: Dense(256)-ReLU-Dense(128)-ReLU-Dense(C)-softmax.
@@ -70,7 +71,7 @@ class MlpClassifier : public Classifier {
   [[nodiscard]] int features() const override { return features_; }
   [[nodiscard]] std::string arch() const override;
 
-  Matrix predict_proba(const Tensor3& x) override;
+  [[nodiscard]] Matrix predict_proba(const Tensor3& x) const override;
   double accumulate_gradients(const Tensor3& x, std::span<const int> labels,
                               std::span<const float> semantic_targets,
                               const Loss& loss) override;

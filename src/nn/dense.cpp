@@ -1,7 +1,5 @@
 #include "nn/dense.h"
 
-#include <utility>
-
 #include "nn/init.h"
 #include "util/contracts.h"
 
@@ -10,11 +8,16 @@ namespace cpsguard::nn {
 Dense::Dense(int in, int out, util::Rng& rng)
     : w_("W", glorot_uniform(in, out, rng)), b_("b", Matrix::zeros(1, out)) {}
 
-Matrix Dense::forward(const Matrix& x, bool /*training*/) {
+Matrix Dense::infer(const Matrix& x) const {
   expects(x.cols() == input_size(), "Dense: input width mismatch");
-  cached_input_ = x;
   Matrix y = matmul(x, w_.value);
-  y.add_row_vector(std::as_const(b_.value).row(0));
+  y.add_row_vector(b_.value.row(0));
+  return y;
+}
+
+Matrix Dense::forward(const Matrix& x) {
+  Matrix y = infer(x);
+  cached_input_ = x;
   return y;
 }
 

@@ -13,10 +13,17 @@ void FeedForward::add(std::unique_ptr<Layer> layer) {
   layers_.push_back(std::move(layer));
 }
 
-Matrix FeedForward::forward(const Matrix& x, bool training) {
+Matrix FeedForward::infer(const Matrix& x) const {
   expects(!layers_.empty(), "network has no layers");
   Matrix h = x;
-  for (auto& layer : layers_) h = layer->forward(h, training);
+  for (const auto& layer : layers_) h = layer->infer(h);
+  return h;
+}
+
+Matrix FeedForward::forward(const Matrix& x) {
+  expects(!layers_.empty(), "network has no layers");
+  Matrix h = x;
+  for (auto& layer : layers_) h = layer->forward(h);
   return h;
 }
 

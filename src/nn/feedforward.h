@@ -15,8 +15,11 @@ class FeedForward {
   /// Append a layer; its input size must match the current output size.
   void add(std::unique_ptr<Layer> layer);
 
-  /// Forward through all layers.
-  Matrix forward(const Matrix& x, bool training);
+  /// Inference through all layers; records nothing.
+  [[nodiscard]] Matrix infer(const Matrix& x) const;
+
+  /// Forward through all layers, caching for backward.
+  Matrix forward(const Matrix& x);
 
   /// Backward through all layers; returns dLoss/dInput.
   Matrix backward(const Matrix& dy);

@@ -18,41 +18,45 @@ GruLayer::GruLayer(int input, int hidden, util::Rng& rng)
 }
 
 Tensor3 GruLayer::forward(const Tensor3& x) {
+  Tensor3 out = run(x, &cache_);
+  cached_batch_ = x.batch();
+  return out;
+}
+
+Tensor3 GruLayer::run(const Tensor3& x, std::vector<StepCache>* cache) const {
   expects(x.features() == input_, "GRU: input feature width mismatch");
   const int batch = x.batch();
   const int steps = x.time();
-  cache_.clear();
-  cache_.reserve(static_cast<std::size_t>(steps));
-  cached_batch_ = batch;
+  if (cache != nullptr) {
+    cache->clear();
+    cache->reserve(static_cast<std::size_t>(steps));
+  }
 
   Tensor3 out(batch, steps, hidden_);
   Matrix h = Matrix::zeros(batch, hidden_);
 
   for (int t = 0; t < steps; ++t) {
-    StepCache sc;
-    sc.x = x.time_slice(t);
-    sc.h_prev = h;
-
-    Matrix a = matmul(sc.x, wx_.value);
-    a.add_row_vector(std::as_const(bx_.value).row(0));
+    Matrix xt = x.time_slice(t);
+    Matrix a = matmul(xt, wx_.value);
+    a.add_row_vector(bx_.value.row(0));
     Matrix ah = matmul(h, wh_.value);
-    ah.add_row_vector(std::as_const(bh_.value).row(0));
+    ah.add_row_vector(bh_.value.row(0));
 
-    sc.z = Matrix(batch, hidden_);
-    sc.r = Matrix(batch, hidden_);
-    sc.n = Matrix(batch, hidden_);
-    sc.ah_n = Matrix(batch, hidden_);
+    Matrix z(batch, hidden_);
+    Matrix r(batch, hidden_);
+    Matrix n(batch, hidden_);
+    Matrix ah_n(batch, hidden_);
     Matrix h_next(batch, hidden_);
 
     const auto hsz = static_cast<std::size_t>(hidden_);
     for (int bi = 0; bi < batch; ++bi) {
-      const auto arow = a.row(bi);
-      const auto ahrow = ah.row(bi);
-      const auto hrow = h.row(bi);
-      auto zrow = sc.z.row(bi);
-      auto rrow = sc.r.row(bi);
-      auto nrow = sc.n.row(bi);
-      auto qrow = sc.ah_n.row(bi);
+      const auto arow = std::as_const(a).row(bi);
+      const auto ahrow = std::as_const(ah).row(bi);
+      const auto hrow = std::as_const(h).row(bi);
+      auto zrow = z.row(bi);
+      auto rrow = r.row(bi);
+      auto nrow = n.row(bi);
+      auto qrow = ah_n.row(bi);
       auto hnrow = h_next.row(bi);
       for (std::size_t j = 0; j < hsz; ++j) {
         zrow[j] = arow[j] + ahrow[j];
@@ -70,9 +74,12 @@ Tensor3 GruLayer::forward(const Tensor3& x) {
       }
     }
 
-    h = h_next;
-    out.set_time_slice(t, h);
-    cache_.push_back(std::move(sc));
+    out.set_time_slice(t, h_next);
+    if (cache != nullptr) {
+      cache->push_back(StepCache{std::move(xt), std::move(h), std::move(z),
+                                 std::move(r), std::move(n), std::move(ah_n)});
+    }
+    h = std::move(h_next);
   }
   return out;
 }

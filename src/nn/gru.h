@@ -24,7 +24,13 @@ class GruLayer {
  public:
   GruLayer(int input, int hidden, util::Rng& rng);
 
-  /// Forward over the whole sequence; caches per-step state for backward.
+  /// Inference over the whole sequence; records nothing, so concurrent
+  /// callers may share one layer.
+  [[nodiscard]] Tensor3 infer(const Tensor3& x) const {
+    return run(x, nullptr);
+  }
+
+  /// infer(x), caching per-step state for backward.
   Tensor3 forward(const Tensor3& x);
 
   /// BPTT. `dh` holds dLoss/dh_t for every timestep; returns dLoss/dx.
@@ -53,6 +59,10 @@ class GruLayer {
     Matrix n;       // [B, hidden] post-activation
     Matrix ah_n;    // [B, hidden] the hidden contribution gated by r
   };
+
+  // The one time loop; fills `cache` (one StepCache per step) when non-null.
+  Tensor3 run(const Tensor3& x, std::vector<StepCache>* cache) const;
+
   std::vector<StepCache> cache_;
   int cached_batch_ = 0;
 };

@@ -1,6 +1,8 @@
-// Layer abstraction for feed-forward networks: forward caches what backward
-// needs; backward accumulates parameter gradients and returns the gradient
-// with respect to the layer input (which is what FGSM ultimately consumes).
+// Layer abstraction for feed-forward networks. infer is the const forward
+// pass: it records nothing, so one layer can serve any number of concurrent
+// callers. forward is infer plus the cache store backward needs; backward
+// accumulates parameter gradients and returns the gradient with respect to
+// the layer input (which is what FGSM ultimately consumes).
 #pragma once
 
 #include <memory>
@@ -29,8 +31,11 @@ class Layer {
  public:
   virtual ~Layer() = default;
 
-  /// Forward pass over a [batch, in] matrix; `training` enables dropout etc.
-  virtual Matrix forward(const Matrix& x, bool training) = 0;
+  /// Inference over a [batch, in] matrix; touches no layer state.
+  [[nodiscard]] virtual Matrix infer(const Matrix& x) const = 0;
+
+  /// infer(x), caching what the next backward needs.
+  virtual Matrix forward(const Matrix& x) = 0;
 
   /// Backward pass: given dLoss/dOutput, accumulate parameter gradients and
   /// return dLoss/dInput. Must be called after forward with matching batch.

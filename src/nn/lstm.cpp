@@ -19,30 +19,33 @@ LstmLayer::LstmLayer(int input, int hidden, util::Rng& rng)
 }
 
 Tensor3 LstmLayer::forward(const Tensor3& x) {
+  Tensor3 out = run(x, &cache_);
+  cached_batch_ = x.batch();
+  return out;
+}
+
+Tensor3 LstmLayer::run(const Tensor3& x, std::vector<StepCache>* cache) const {
   expects(x.features() == input_, "LSTM: input feature width mismatch");
   const int batch = x.batch();
   const int steps = x.time();
-  cache_.clear();
-  cache_.reserve(static_cast<std::size_t>(steps));
-  cached_batch_ = batch;
+  if (cache != nullptr) {
+    cache->clear();
+    cache->reserve(static_cast<std::size_t>(steps));
+  }
 
   Tensor3 out(batch, steps, hidden_);
   Matrix h = Matrix::zeros(batch, hidden_);
   Matrix c = Matrix::zeros(batch, hidden_);
 
   for (int t = 0; t < steps; ++t) {
-    StepCache sc;
-    sc.x = x.time_slice(t);
-    sc.h_prev = h;
-    sc.c_prev = c;
-
-    Matrix a = matmul(sc.x, wx_.value);
+    Matrix xt = x.time_slice(t);
+    Matrix a = matmul(xt, wx_.value);
     a.add_in_place(matmul(h, wh_.value));
-    a.add_row_vector(std::as_const(b_.value).row(0));
+    a.add_row_vector(b_.value.row(0));
 
     const auto hsz = static_cast<std::size_t>(hidden_);
-    sc.c = Matrix(batch, hidden_);
-    sc.tanh_c = Matrix(batch, hidden_);
+    Matrix c_next(batch, hidden_);
+    Matrix tanh_c(batch, hidden_);
     Matrix h_next(batch, hidden_);
 
     // The pre-activations become the gates in place: sigmoid over the
@@ -55,9 +58,9 @@ Tensor3 LstmLayer::forward(const Tensor3& x) {
       sigmoid_rows(if_gates, if_gates);
       tanh_rows(g_gate, g_gate);
       sigmoid_rows(o_gate, o_gate);
-      const auto cprev = sc.c_prev.row(bi);
-      auto crow = sc.c.row(bi);
-      auto tcrow = sc.tanh_c.row(bi);
+      const auto cprev = std::as_const(c).row(bi);
+      auto crow = c_next.row(bi);
+      auto tcrow = tanh_c.row(bi);
       auto hrow = h_next.row(bi);
       for (std::size_t j = 0; j < hsz; ++j) {
         crow[j] = grow[j + hsz] * cprev[j] + grow[j] * g_gate[j];
@@ -66,11 +69,13 @@ Tensor3 LstmLayer::forward(const Tensor3& x) {
       for (std::size_t j = 0; j < hsz; ++j) hrow[j] = o_gate[j] * tcrow[j];
     }
 
-    sc.gates = std::move(a);
-    h = h_next;
-    c = sc.c;
-    out.set_time_slice(t, h);
-    cache_.push_back(std::move(sc));
+    out.set_time_slice(t, h_next);
+    if (cache != nullptr) {
+      cache->push_back(StepCache{std::move(xt), std::move(h), std::move(c),
+                                 std::move(a), c_next, std::move(tanh_c)});
+    }
+    h = std::move(h_next);
+    c = std::move(c_next);
   }
   return out;
 }

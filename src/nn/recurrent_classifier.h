@@ -1,5 +1,5 @@
 // Generic stacked-recurrent classifier: any cell layer exposing
-//   Tensor3 forward(const Tensor3&),
+//   Tensor3 infer(const Tensor3&) const, Tensor3 forward(const Tensor3&),
 //   Tensor3 backward(const Tensor3&, bool accumulate_param_grads),
 //   std::vector<Param*> params(), int hidden_size()
 // can be stacked under a dense softmax head. Instantiated for the LSTM
@@ -48,15 +48,18 @@ class RecurrentClassifier : public Classifier {
     return s + ")";
   }
 
-  Matrix predict_proba(const Tensor3& x) override {
-    return softmax_rows(head_.forward(encode(x), /*training=*/false));
+  [[nodiscard]] Matrix predict_proba(const Tensor3& x) const override {
+    check_shape(x);
+    Tensor3 h = x;
+    for (const auto& cell : cells_) h = cell->infer(h);
+    return softmax_rows(head_.infer(h.time_slice(h.time() - 1)));
   }
 
   double accumulate_gradients(const Tensor3& x, std::span<const int> labels,
                               std::span<const float> semantic_targets,
                               const Loss& loss) override {
     expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
-    const Matrix logits = head_.forward(encode(x), /*training=*/true);
+    const Matrix logits = head_.forward(encode(x));
     const LossResult lr = loss.compute(logits, labels, semantic_targets);
     const Matrix dh_last = head_.backward(lr.dlogits);
     decode_gradient(dh_last, /*accumulate_param_grads=*/true);
@@ -69,7 +72,7 @@ class RecurrentClassifier : public Classifier {
   Tensor3 loss_input_gradient(const Tensor3& x,
                               std::span<const int> labels) override {
     expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
-    const Matrix logits = head_.forward(encode(x), /*training=*/false);
+    const Matrix logits = head_.forward(encode(x));
     const SoftmaxCrossEntropy ce;
     const LossResult lr = ce.compute(logits, labels, {});
     const Matrix dh_last = head_.backward(lr.dlogits);
@@ -88,9 +91,14 @@ class RecurrentClassifier : public Classifier {
   }
 
  private:
-  Matrix encode(const Tensor3& x) {
+  void check_shape(const Tensor3& x) const {
     expects(x.time() == time_steps_ && x.features() == features_,
             "recurrent classifier: window shape mismatch");
+  }
+
+  // The last hidden state, caching every cell for decode_gradient.
+  Matrix encode(const Tensor3& x) {
+    check_shape(x);
     Tensor3 h = x;
     for (auto& cell : cells_) h = cell->forward(h);
     return h.time_slice(h.time() - 1);

@@ -64,13 +64,13 @@ Engine::Engine(const monitor::MlMonitor& mon, EngineConfig config)
   expects(config.queue_capacity >= config.max_batch,
           "queue_capacity must hold at least one full micro-batch");
   expects(config.max_sessions > 0, "max_sessions must be positive");
-  expects(config.predict_chunk > 0, "predict_chunk must be positive");
   expects(config.idle_ttl_ticks >= 0, "idle_ttl_ticks must be non-negative");
   check_shape(mon, config_);
+  const std::shared_ptr<const monitor::MlMonitor> model = mon.clone();
   shards_.reserve(static_cast<std::size_t>(config.shards));
   for (int s = 0; s < config.shards; ++s) {
     shards_.push_back(
-        std::make_unique<SessionShard>(mon, config_, session_budget_));
+        std::make_unique<SessionShard>(model, config_, session_budget_));
   }
 }
 
@@ -178,7 +178,8 @@ void Engine::stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
   expects(mon.trained(), "staged monitor must be trained");
   expects(version > 0, "model versions start at 1");
   check_shape(mon, config_);
-  for (auto& shard : shards_) shard->stage(mon.clone(), version, mode);
+  const std::shared_ptr<const monitor::MlMonitor> model = mon.clone();
+  for (auto& shard : shards_) shard->stage(model, version, mode);
   if (mode == SwapMode::kShadow) {
     shadow_version_ = version;
     util::log_info("serve: shadow-scoring model v", version, " against v",
@@ -193,8 +194,12 @@ void Engine::stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
 void Engine::swap_model(const registry::ModelRegistry& reg,
                         std::uint64_t version, SwapMode mode) {
   // load() verifies the artifact (structure + SHA) before any shard sees
-  // it; the mmap backing dies with `loaded` — stage clones into owned
-  // storage, so the registry file can be removed afterwards.
+  // it, and stage_model copies the weights out of the mmap into the one
+  // owned copy every shard shares. The shards never read the mapped file:
+  // it could be rewritten in place after verification, and the copy keeps
+  // the verified bytes the ones that score for the whole life of the
+  // version. The mapping dies with `loaded`, so the registry file can be
+  // removed afterwards.
   const registry::ModelRegistry::LoadedModel loaded = reg.load(version);
   stage_model(*loaded.monitor, version, mode);
 }

@@ -9,8 +9,9 @@
 // Records route to shards by stable_hash64(session) % shards, so a session
 // always lands on the same shard and its windows stay in order. Each shard
 // accumulates ready windows (across all its sessions) into a preallocated
-// micro-batch and flushes them through one eval::batched_predict_proba
-// call — on batch-full inline, and on tick() for the partial remainder.
+// micro-batch and flushes them through one predict_proba_scaled call — on
+// batch-full inline, and on tick() for the partial remainder. Every shard
+// scores with the same immutable copy of the model version.
 //
 // Determinism contract: verdicts depend only on the ingest sequence. For a
 // fixed interleaving of submit/tick calls the emitted VerdictEvent stream
@@ -71,9 +72,10 @@ struct SwapStats {
 
 class Engine {
  public:
-  /// `mon` must be trained; each shard takes its own clone, so the engine
-  /// does not retain a reference. `config.window` must equal the window
-  /// the monitor was trained with (ModelShapeError otherwise).
+  /// `mon` must be trained; the engine copies it once and every shard
+  /// shares that copy, so the engine does not retain a reference.
+  /// `config.window` must equal the window the monitor was trained with
+  /// (ModelShapeError otherwise).
   Engine(const monitor::MlMonitor& mon, EngineConfig config);
 
   /// Ingest one record; never throws on rejection. Sessions are created on
@@ -131,17 +133,17 @@ class Engine {
   // and no micro-batch ever mixes model versions. Verdicts carry the version
   // that scored them (VerdictEvent::model_version).
 
-  /// Stage `mon` (cloned per shard) as version `version`. kEpoch replaces
-  /// the active model at the next tick; kShadow dual-scores immediately
-  /// without affecting verdicts. Restaging before activation replaces the
-  /// previously staged model. A monitor of another window shape throws
-  /// ModelShapeError and leaves the engine untouched.
+  /// Stage a copy of `mon` (one, shared by every shard) as version
+  /// `version`. kEpoch replaces the active model at the next tick; kShadow
+  /// dual-scores immediately without affecting verdicts. Restaging before
+  /// activation replaces the previously staged model. A monitor of another
+  /// window shape throws ModelShapeError and leaves the engine untouched.
   void stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
                    SwapMode mode = SwapMode::kEpoch);
 
   /// Load `version` from `reg` (verify-on-open) and stage it. The mmap'd
-  /// artifact only lives for the duration of the call — shards clone into
-  /// owned storage — so the registry file can be GC'd afterwards.
+  /// artifact only lives for the duration of the call — staging copies it
+  /// into owned storage — so the registry file can be GC'd afterwards.
   void swap_model(const registry::ModelRegistry& reg, std::uint64_t version,
                   SwapMode mode = SwapMode::kEpoch);
 

@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "eval/batch_eval.h"
 #include "monitor/features.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
@@ -67,15 +66,13 @@ void stage_row(const RingWindow& ring, const monitor::MlMonitor& mon,
 // `mon`'s class probabilities for batch rows [0, n). A partial (tick) flush
 // copies its rows into one exact-size tensor, amortized over up to
 // max_batch windows — the per-record path stays allocation-free.
-nn::Matrix score(monitor::MlMonitor& mon, const nn::Tensor3& batch, int n,
-                 int chunk) {
-  if (n == batch.batch()) {
-    return eval::batched_predict_proba_scaled(mon, batch, chunk);
-  }
+nn::Matrix score(const monitor::MlMonitor& mon, const nn::Tensor3& batch,
+                 int n) {
+  if (n == batch.batch()) return mon.predict_proba_scaled(batch);
   nn::Tensor3 head(n, batch.time(), batch.features());
   std::copy(batch.data().begin(), batch.data().begin() + head.size(),
             head.data().begin());
-  return eval::batched_predict_proba_scaled(mon, head, chunk);
+  return mon.predict_proba_scaled(head);
 }
 
 }  // namespace
@@ -83,12 +80,12 @@ nn::Matrix score(monitor::MlMonitor& mon, const nn::Tensor3& batch, int n,
 SessionShard::Session::Session(const EngineConfig& cfg)
     : ring(cfg.window, monitor::Features::kNumFeatures) {}
 
-SessionShard::SessionShard(const monitor::MlMonitor& mon,
+SessionShard::SessionShard(std::shared_ptr<const monitor::MlMonitor> mon,
                            const EngineConfig& config,
                            std::atomic<std::int64_t>& session_budget)
     : config_(config),
       session_budget_(session_budget),
-      monitor_(mon.clone()),
+      monitor_(std::move(mon)),
       version_(config.initial_model_version),
       batch_(config.max_batch, config.window,
              monitor::Features::kNumFeatures) {
@@ -157,7 +154,7 @@ void SessionShard::flush_locked() {
   const int n = static_cast<int>(pending_.size());
   metrics.batch_occupancy.record(static_cast<double>(n));
 
-  const nn::Matrix probs = score(*monitor_, batch_, n, config_.predict_chunk);
+  const nn::Matrix probs = score(*monitor_, batch_, n);
   for (int r = 0; r < n; ++r) {
     VerdictEvent& ev = pending_[static_cast<std::size_t>(r)];
     ev.p_unsafe = probs.at(r, 1);
@@ -175,8 +172,7 @@ void SessionShard::flush_locked() {
     // Dual-score the same windows (staged in the shadow model's scaler
     // space) without touching done_: shadow verdicts are observability,
     // never output.
-    const nn::Matrix shadow_probs =
-        score(*shadow_, shadow_batch_, n, config_.predict_chunk);
+    const nn::Matrix shadow_probs = score(*shadow_, shadow_batch_, n);
     std::uint64_t disagree = 0;
     for (int r = 0; r < n; ++r) {
       const int shadow_pred =
@@ -239,7 +235,7 @@ void SessionShard::evict_idle(std::int64_t now_tick, std::int64_t ttl,
   }
 }
 
-void SessionShard::stage(std::unique_ptr<monitor::MlMonitor> mon,
+void SessionShard::stage(std::shared_ptr<const monitor::MlMonitor> mon,
                          std::uint64_t version, SwapMode mode) {
   expects(mon != nullptr && mon->trained(),
           "staged monitor must be trained");

@@ -1,9 +1,8 @@
 // One shard of the streaming engine: owns the sessions routed to it, their
-// ring-buffered feature windows, a preallocated cross-session micro-batch,
-// and its own clone of the trained monitor (classifier forward passes
-// mutate layer caches, so concurrent shard flushes need private monitors —
-// identical weights keep verdicts bit-identical to any other deployment of
-// the same model).
+// ring-buffered feature windows and a preallocated cross-session
+// micro-batch. It scores with a shared, immutable monitor: the engine makes
+// one copy per model version and every shard holds a pointer to it, so
+// concurrent shard flushes read the same weights (inference is const).
 //
 // Each session keeps one ring of *raw* feature rows. When a window fills,
 // it is copied into its micro-batch row and scaled there, one time step at
@@ -58,10 +57,11 @@ struct ShardStats {
 
 class SessionShard {
  public:
-  /// Clones `mon` (which must be trained). `session_budget` is the
-  /// engine-wide open-session budget this shard draws on when it admits a
-  /// new session (decremented back by close()).
-  SessionShard(const monitor::MlMonitor& mon, const EngineConfig& config,
+  /// Scores with `mon` (trained, shared with the other shards).
+  /// `session_budget` is the engine-wide open-session budget this shard
+  /// draws on when it admits a new session (decremented back by close()).
+  SessionShard(std::shared_ptr<const monitor::MlMonitor> mon,
+               const EngineConfig& config,
                std::atomic<std::int64_t>& session_budget);
 
   /// Ingest one record. On admission the record is committed into its
@@ -90,14 +90,14 @@ class SessionShard {
   void evict_idle(std::int64_t now_tick, std::int64_t ttl,
                   std::vector<SessionId>& evicted);
 
-  /// Stage a replacement monitor (the shard takes ownership; the caller
-  /// clones per shard). kEpoch: held until activate_staged() — the engine's
+  /// Stage a replacement monitor (shared with the other shards). kEpoch:
+  /// held until activate_staged() — the engine's
   /// next tick boundary. kShadow: installed immediately as the shadow
   /// scorer; the shard flushes its partial batch first so shadow rows stay
   /// aligned with the active batch from the next window on. Restaging
   /// replaces any prior staged/shadow monitor of the same mode.
-  void stage(std::unique_ptr<monitor::MlMonitor> mon, std::uint64_t version,
-             SwapMode mode);
+  void stage(std::shared_ptr<const monitor::MlMonitor> mon,
+             std::uint64_t version, SwapMode mode);
 
   /// Epoch-boundary activation of the staged monitor: flush any straggler
   /// windows under the outgoing model, then swap. Rings hold raw rows, so
@@ -125,17 +125,17 @@ class SessionShard {
 
   const EngineConfig config_;
   std::atomic<std::int64_t>& session_budget_;
-  std::unique_ptr<monitor::MlMonitor> monitor_;
+  std::shared_ptr<const monitor::MlMonitor> monitor_;
   std::uint64_t version_;
 
   // Hot-swap slots. `staged_` waits for the epoch boundary, `shadow_`
   // dual-scores without verdicting, `prev_` is the rollback target after an
   // activation. All transitions happen under the shard lock.
-  std::unique_ptr<monitor::MlMonitor> staged_;
+  std::shared_ptr<const monitor::MlMonitor> staged_;
   std::uint64_t staged_version_ = 0;
-  std::unique_ptr<monitor::MlMonitor> shadow_;
+  std::shared_ptr<const monitor::MlMonitor> shadow_;
   std::uint64_t shadow_version_ = 0;
-  std::unique_ptr<monitor::MlMonitor> prev_;
+  std::shared_ptr<const monitor::MlMonitor> prev_;
   std::uint64_t prev_version_ = 0;
 
   struct Session {

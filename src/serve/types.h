@@ -127,8 +127,6 @@ struct EngineConfig {
   int queue_capacity = 4096;
   /// Engine-wide cap on concurrently open sessions.
   int max_sessions = 1 << 20;
-  /// Chunk size handed to eval::batched_predict_proba at flush.
-  int predict_chunk = 512;
   /// Idle-session TTL in engine ticks (0 disables eviction). A session that
   /// goes more than this many tick() calls without submitting a record is
   /// evicted during the next tick(): its window state is dropped and its

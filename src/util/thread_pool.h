@@ -96,9 +96,9 @@ void set_max_parallelism(std::size_t n);
 /// Parallelism the next top-level parallel_for would actually get: the
 /// set_max_parallelism() cap clamped to hardware concurrency (the shared
 /// pool's size). Computed WITHOUT forcing the lazily-constructed shared
-/// pool into existence — callers deciding whether fan-out is worth it
-/// (e.g. eval::batched_predict_proba) must not spawn a pool a serial run
-/// will never use.
+/// pool into existence — callers sizing their own fan-out (e.g. the serve
+/// benches' thread count) must not spawn a pool a serial run will never
+/// use.
 [[nodiscard]] std::size_t effective_parallelism();
 
 /// True once shared_pool() has been constructed. Diagnostic/test hook for

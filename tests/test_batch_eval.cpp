@@ -104,18 +104,17 @@ TEST(BatchedPredict, NanWindowRejectedByContract) {
   windows.at(1, 0, 0) = kNan;  // propagates through scaler + tanh/sigmoid
   // The probability surface itself may carry NaN (predict_proba is the
   // attack/diagnostic surface) ...
-  const nn::Matrix probs = eval::batched_predict_proba(mon, windows, 512);
+  const nn::Matrix probs = eval::batched_predict_proba(mon, windows);
   EXPECT_TRUE(std::isnan(probs.at(1, 0)) || std::isnan(probs.at(1, 1)));
   // ... but classification must refuse it, not silently emit class 0.
-  EXPECT_THROW(eval::batched_predict(mon, windows, 512), CpsError);
+  EXPECT_THROW(eval::batched_predict(mon, windows), CpsError);
 }
 
 TEST(BatchedPredict, MatchesMonitorPredictPath) {
   monitor::MlMonitor& mon = tiny_monitor();
   const monitor::Dataset& ds = tiny_dataset();
-  // Same tie-break rule end to end: chunked argmax == MlMonitor::predict.
-  EXPECT_EQ(eval::batched_predict(mon, ds.x, 8), mon.predict(ds.x));
-  EXPECT_EQ(eval::batched_predict(mon, ds.x, 512), mon.predict(ds.x));
+  // Same tie-break rule end to end: argmax_row == MlMonitor::predict.
+  EXPECT_EQ(eval::batched_predict(mon, ds.x), mon.predict(ds.x));
 }
 
 TEST(BatchedPredict, SerialConfigurationDoesNotInstantiatePool) {
@@ -124,22 +123,20 @@ TEST(BatchedPredict, SerialConfigurationDoesNotInstantiatePool) {
   ASSERT_FALSE(util::shared_pool_initialized())
       << "test setup unexpectedly touched the shared pool";
 
-  // Single-window predictions: chunking can never win, pool stays down.
+  // Single-window predictions are too small to fan out: pool stays down.
   const std::vector<int> one = {0};
   const nn::Tensor3 single = ds.x.gather(one);
   for (int i = 0; i < 3; ++i) {
-    eval::batched_predict_proba(mon, single, 512);
+    eval::batched_predict_proba(mon, single);
   }
   EXPECT_FALSE(util::shared_pool_initialized());
 
-  // Pre-fix: with parallelism capped to 1 (a serial --threads 1 run) a
-  // large batch still force-started the process-wide pool just to decide
-  // not to use it. worth_chunking must consult the configured cap only.
+  // With parallelism capped to 1 (a serial --threads 1 run) a whole-set
+  // prediction must not force-start the process-wide pool either.
   util::set_max_parallelism(1);
-  ASSERT_GT(ds.x.batch(), 2 * 4);
-  eval::batched_predict_proba(mon, ds.x, 4);
+  eval::batched_predict_proba(mon, ds.x);
   EXPECT_FALSE(util::shared_pool_initialized())
-      << "deciding not to chunk instantiated the shared pool";
+      << "a serial prediction instantiated the shared pool";
   util::set_max_parallelism(0);
 }
 

@@ -7,7 +7,6 @@
 
 #include "nn/activations.h"
 #include "nn/dense.h"
-#include "nn/dropout.h"
 #include "nn/feedforward.h"
 #include "nn/init.h"
 #include "util/contracts.h"
@@ -24,8 +23,9 @@ Matrix random_matrix(int r, int c, util::Rng& rng) {
 
 // Scalar objective L = sum(W_out ⊙ layer(x)) with a fixed random W_out; its
 // input gradient via layer.backward must match finite differences.
-double layer_objective(Layer& layer, const Matrix& x, const Matrix& w_out) {
-  const Matrix y = layer.forward(x, /*training=*/false);
+double layer_objective(const Layer& layer, const Matrix& x,
+                       const Matrix& w_out) {
+  const Matrix y = layer.infer(x);
   return static_cast<double>(hadamard(y, w_out).sum());
 }
 
@@ -34,7 +34,7 @@ void check_input_gradient(Layer& layer, int in, util::Rng& rng,
   const Matrix x = random_matrix(3, in, rng);
   const Matrix w_out = random_matrix(3, layer.output_size(), rng);
 
-  layer.forward(x, false);
+  layer.forward(x);
   const Matrix dx = layer.backward(w_out);
 
   Matrix probe = x;
@@ -60,7 +60,7 @@ TEST(Dense, ForwardComputesAffine) {
   auto params = d.params();
   params[0]->value = Matrix::from_rows({{1, 2}, {3, 4}});
   params[1]->value = Matrix::from_rows({{10, 20}});
-  const Matrix y = d.forward(Matrix::from_rows({{1, 1}}), false);
+  const Matrix y = d.forward(Matrix::from_rows({{1, 1}}));
   EXPECT_FLOAT_EQ(y.at(0, 0), 1 + 3 + 10);
   EXPECT_FLOAT_EQ(y.at(0, 1), 2 + 4 + 20);
 }
@@ -76,10 +76,10 @@ TEST(Dense, BackwardAccumulatesParamGradients) {
   Dense d(3, 2, rng);
   const Matrix x = random_matrix(4, 3, rng);
   const Matrix dy = random_matrix(4, 2, rng);
-  d.forward(x, false);
+  d.forward(x);
   d.backward(dy);
   const Matrix g1 = d.params()[0]->grad;
-  d.forward(x, false);
+  d.forward(x);
   d.backward(dy);  // second call without zero_grad accumulates
   const Matrix g2 = d.params()[0]->grad;
   for (int i = 0; i < g1.rows(); ++i) {
@@ -97,7 +97,7 @@ TEST(Dense, WeightGradientMatchesFiniteDifference) {
 
   d.params()[0]->zero_grad();
   d.params()[1]->zero_grad();
-  d.forward(x, false);
+  d.forward(x);
   d.backward(w_out);
   const Matrix dw = d.params()[0]->grad;
   const Matrix db = d.params()[1]->grad;
@@ -129,7 +129,7 @@ TEST(Dense, WeightGradientMatchesFiniteDifference) {
 
 TEST(Relu, ForwardClampsNegatives) {
   Relu r(3);
-  const Matrix y = r.forward(Matrix::from_rows({{-1, 0, 2}}), false);
+  const Matrix y = r.forward(Matrix::from_rows({{-1, 0, 2}}));
   EXPECT_FLOAT_EQ(y.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(y.at(0, 1), 0.0f);
   EXPECT_FLOAT_EQ(y.at(0, 2), 2.0f);
@@ -137,7 +137,7 @@ TEST(Relu, ForwardClampsNegatives) {
 
 TEST(Relu, BackwardMasksGradient) {
   Relu r(2);
-  r.forward(Matrix::from_rows({{-1, 3}}), false);
+  r.forward(Matrix::from_rows({{-1, 3}}));
   const Matrix dx = r.backward(Matrix::from_rows({{5, 7}}));
   EXPECT_FLOAT_EQ(dx.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(dx.at(0, 1), 7.0f);
@@ -147,7 +147,7 @@ TEST(Tanh, MatchesStdTanhAndGradient) {
   util::Rng rng(5);
   Tanh t(4);
   const Matrix x = random_matrix(2, 4, rng);
-  const Matrix y = t.forward(x, false);
+  const Matrix y = t.forward(x);
   for (int i = 0; i < x.rows(); ++i) {
     for (int j = 0; j < x.cols(); ++j) {
       EXPECT_NEAR(y.at(i, j), std::tanh(x.at(i, j)), 1e-6);
@@ -160,7 +160,7 @@ TEST(Sigmoid, RangeAndGradient) {
   util::Rng rng(6);
   Sigmoid s(4);
   const Matrix x = random_matrix(3, 4, rng);
-  const Matrix y = s.forward(x, false);
+  const Matrix y = s.forward(x);
   for (float v : y.data()) {
     EXPECT_GT(v, 0.0f);
     EXPECT_LT(v, 1.0f);
@@ -174,46 +174,6 @@ TEST(Sigmoid, StableForExtremeInputs) {
   EXPECT_FALSE(std::isnan(sigmoid(-1000.0f)));
 }
 
-TEST(Dropout, InferenceIsIdentity) {
-  util::Rng rng(7);
-  Dropout d(3, 0.5, rng);
-  const Matrix x = Matrix::from_rows({{1, 2, 3}});
-  EXPECT_TRUE(d.forward(x, false) == x);
-}
-
-TEST(Dropout, TrainingZerosApproxRateAndRescales) {
-  util::Rng rng(8);
-  Dropout d(1000, 0.4, rng);
-  const Matrix x = Matrix::full(1, 1000, 1.0f);
-  const Matrix y = d.forward(x, true);
-  int zeros = 0;
-  for (float v : y.data()) {
-    if (v == 0.0f) {
-      ++zeros;
-    } else {
-      EXPECT_NEAR(v, 1.0f / 0.6f, 1e-5);
-    }
-  }
-  EXPECT_NEAR(zeros / 1000.0, 0.4, 0.06);
-}
-
-TEST(Dropout, BackwardUsesSameMask) {
-  util::Rng rng(9);
-  Dropout d(100, 0.5, rng);
-  const Matrix x = Matrix::full(1, 100, 1.0f);
-  const Matrix y = d.forward(x, true);
-  const Matrix dx = d.backward(Matrix::full(1, 100, 1.0f));
-  for (int j = 0; j < 100; ++j) {
-    EXPECT_FLOAT_EQ(dx.at(0, j), y.at(0, j));  // same mask, same scaling
-  }
-}
-
-TEST(Dropout, RejectsBadRate) {
-  util::Rng rng(10);
-  EXPECT_THROW(Dropout(3, 1.0, rng), ContractViolation);
-  EXPECT_THROW(Dropout(3, -0.1, rng), ContractViolation);
-}
-
 TEST(FeedForward, ChainsLayersAndValidatesShapes) {
   util::Rng rng(11);
   FeedForward net;
@@ -223,7 +183,7 @@ TEST(FeedForward, ChainsLayersAndValidatesShapes) {
   EXPECT_EQ(net.input_size(), 4);
   EXPECT_EQ(net.output_size(), 2);
   EXPECT_EQ(net.layer_count(), 3u);
-  const Matrix y = net.forward(random_matrix(5, 4, rng), false);
+  const Matrix y = net.forward(random_matrix(5, 4, rng));
   EXPECT_EQ(y.rows(), 5);
   EXPECT_EQ(y.cols(), 2);
 }
@@ -244,7 +204,7 @@ TEST(FeedForward, EndToEndInputGradient) {
 
   const Matrix x = random_matrix(2, 3, rng);
   const Matrix w_out = random_matrix(2, 2, rng);
-  net.forward(x, false);
+  net.forward(x);
   const Matrix dx = net.backward(w_out);
 
   const double eps = 1e-3;
@@ -253,9 +213,9 @@ TEST(FeedForward, EndToEndInputGradient) {
     for (int j = 0; j < probe.cols(); ++j) {
       const float orig = probe.at(i, j);
       probe.at(i, j) = orig + static_cast<float>(eps);
-      const double lp = static_cast<double>(hadamard(net.forward(probe, false), w_out).sum());
+      const double lp = static_cast<double>(hadamard(net.infer(probe), w_out).sum());
       probe.at(i, j) = orig - static_cast<float>(eps);
-      const double lm = static_cast<double>(hadamard(net.forward(probe, false), w_out).sum());
+      const double lm = static_cast<double>(hadamard(net.infer(probe), w_out).sum());
       probe.at(i, j) = orig;
       EXPECT_NEAR(dx.at(i, j), (lp - lm) / (2 * eps), 2e-2);
     }

@@ -5,15 +5,33 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <atomic>
+#include <cstdint>
 #include <cstdio>
+#include <cstring>
 #include <filesystem>
+#include <span>
+#include <thread>
+#include <utility>
 
+#include "nn/activations.h"
+#include "nn/dense.h"
+#include "nn/gru.h"
+#include "nn/lstm.h"
+#include "registry/registry.h"
 #include "sim/closed_loop.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 
 namespace cpsguard::monitor {
 namespace {
+
+std::vector<std::uint32_t> bits(std::span<const float> v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
 
 Dataset small_dataset(std::uint64_t seed, int traces = 6, int steps = 60) {
   std::vector<sim::Trace> ts;
@@ -164,12 +182,149 @@ TEST(BatchEval, ChunkedPredictProbaMatchesSingleCall) {
   const Dataset ds = small_dataset(9);
   MlMonitor mon(fast_config(Arch::kMlp, false));
   mon.train(ds);
-  const nn::Matrix whole = mon.predict_proba(ds.x);
-  // Tiny chunk forces many shards (when the pool has >1 worker); either way
-  // the stitched result must be bit-identical to the one-shot call.
-  const nn::Matrix chunked = eval::batched_predict_proba(mon, ds.x, 8);
-  EXPECT_TRUE(whole == chunked);
-  EXPECT_EQ(eval::batched_predict(mon, ds.x, 8), mon.predict(ds.x));
+  const nn::Matrix whole = eval::batched_predict_proba(mon, ds.x);
+  // Row locality: predicting the set in chunks of 8 windows (as serve's
+  // partial flushes do) reproduces the one-shot rows bit for bit.
+  for (int b0 = 0; b0 < ds.size(); b0 += 8) {
+    std::vector<int> idx;
+    for (int r = b0; r < std::min(ds.size(), b0 + 8); ++r) idx.push_back(r);
+    const nn::Matrix part = mon.predict_proba(ds.x.gather(idx));
+    for (int r = 0; r < part.rows(); ++r) {
+      EXPECT_EQ(bits(part.row(r)), bits(whole.row(b0 + r)))
+          << "window " << b0 + r;
+    }
+  }
+  EXPECT_EQ(eval::batched_predict(mon, ds.x), mon.predict(ds.x));
+}
+
+// Four threads score on one shared const monitor — MLP, LSTM, GRU and a
+// registry-bound (mmap'd, zero-copy) MLP — each on its own batch, and
+// every result is bit-identical to a serial call on that batch.
+TEST(MlMonitor, SharedConstMonitorScoresConcurrently) {
+  const Dataset ds = small_dataset(10);
+  std::vector<std::unique_ptr<MlMonitor>> owned;
+  for (const Arch arch : {Arch::kMlp, Arch::kLstm, Arch::kGru}) {
+    owned.push_back(std::make_unique<MlMonitor>(fast_config(arch, false)));
+    owned.back()->train(ds);
+  }
+  const std::string dir =
+      (std::filesystem::temp_directory_path() / "cpsguard_shared_monitor_test")
+          .string();
+  std::filesystem::remove_all(dir);
+  registry::ModelRegistry reg(dir);
+  const std::uint64_t version = reg.publish(*owned.front(), "MLP", "test");
+  const registry::ModelRegistry::LoadedModel bound = reg.load(version);
+
+  std::vector<const MlMonitor*> monitors;
+  for (const auto& m : owned) monitors.push_back(m.get());
+  monitors.push_back(bound.monitor.get());
+  constexpr int kThreads = 4;
+  for (const MlMonitor* shared : monitors) {
+    const nn::Tensor3 scaled = shared->scaler().transform(ds.x);
+    std::vector<nn::Tensor3> batches;
+    std::vector<nn::Matrix> serial;
+    for (int k = 0; k < kThreads; ++k) {
+      std::vector<int> idx;
+      for (int r = k; r < scaled.batch(); r += k + 1) idx.push_back(r);
+      batches.push_back(scaled.gather(idx));
+      serial.push_back(shared->predict_proba_scaled(batches.back()));
+    }
+    std::vector<nn::Matrix> got(kThreads);
+    std::vector<std::thread> threads;
+    for (int k = 0; k < kThreads; ++k) {
+      threads.emplace_back([&, k] {
+        const auto ki = static_cast<std::size_t>(k);
+        for (int rep = 0; rep < 3; ++rep) {
+          got[ki] = shared->predict_proba_scaled(batches[ki]);
+        }
+      });
+    }
+    for (auto& t : threads) t.join();
+    for (std::size_t k = 0; k < kThreads; ++k) {
+      EXPECT_EQ(bits(got[k].data()), bits(serial[k].data()))
+          << shared->config().display_name() << " thread " << k;
+    }
+  }
+  std::filesystem::remove_all(dir);
+}
+
+// A const inference call on a different batch, made between a caching
+// forward and its backward, leaves the backward's input gradient and
+// parameter gradients bit-identical — inference no longer shares the
+// training caches.
+template <typename Net, typename X, typename G>
+void expect_infer_leaves_backward(Net& net, const X& xa, const X& xb,
+                                  const G& dy) {
+  const auto run = [&](bool interleave) {
+    for (nn::Param* p : net.params()) p->zero_grad();
+    net.forward(xa);
+    if (interleave) (void)net.infer(xb);
+    std::vector<std::uint32_t> out = bits(net.backward(dy).data());
+    for (nn::Param* p : net.params()) {
+      const std::vector<std::uint32_t> g = bits(std::as_const(p->grad).data());
+      out.insert(out.end(), g.begin(), g.end());
+    }
+    return out;
+  };
+  const std::vector<std::uint32_t> reference = run(false);
+  EXPECT_EQ(run(true), reference);
+}
+
+TEST(MlMonitor, InferenceBetweenForwardAndBackwardLeavesGradientsIntact) {
+  util::Rng rng(31);
+  const auto tensor = [&](int b, int t, int f) {
+    nn::Tensor3 x(b, t, f);
+    for (float& v : x.data()) v = static_cast<float>(rng.uniform(-1.0, 1.0));
+    return x;
+  };
+  const nn::Tensor3 xa = tensor(3, 6, 9);
+  const nn::Tensor3 xb = tensor(5, 6, 9);
+  nn::LstmLayer lstm(9, 16, rng);
+  expect_infer_leaves_backward(lstm, xa, xb, tensor(3, 6, 16));
+  nn::GruLayer gru(9, 16, rng);
+  expect_infer_leaves_backward(gru, xa, xb, tensor(3, 6, 16));
+  nn::FeedForward mlp;
+  mlp.add(std::make_unique<nn::Dense>(54, 16, rng));
+  mlp.add(std::make_unique<nn::Relu>(16));
+  mlp.add(std::make_unique<nn::Dense>(16, 2, rng));
+  expect_infer_leaves_backward(mlp, xa.flatten(), xb.flatten(),
+                               tensor(3, 1, 2).flatten());
+}
+
+// The same through a whole monitor: threads scoring other windows on the
+// shared monitor while loss_input_gradient runs (its forward and backward
+// straddle their predict calls) leave the FGSM input gradient bit-identical.
+TEST(MlMonitor, ConcurrentScoringLeavesInputGradientIntact) {
+  const Dataset ds = small_dataset(11);
+  MlMonitor mon(fast_config(Arch::kLstm, false));
+  mon.train(ds);
+  const nn::Tensor3 scaled = mon.scaler().transform(ds.x);
+  const std::vector<int> head = {0, 1, 2, 3, 4, 5, 6, 7};
+  const nn::Tensor3 xa = scaled.gather(head);
+  const std::vector<int> labels(head.size(), 1);
+  const std::vector<std::uint32_t> reference =
+      bits(mon.classifier().loss_input_gradient(xa, labels).data());
+
+  std::atomic<bool> stop{false};
+  std::vector<std::thread> readers;
+  for (int k = 0; k < 3; ++k) {
+    readers.emplace_back([&] {
+      while (!stop.load()) (void)mon.predict_proba_scaled(scaled);
+    });
+  }
+  int mismatches = 0;
+  for (int rep = 0; rep < 200; ++rep) {
+    try {
+      const nn::Tensor3 grad =
+          mon.classifier().loss_input_gradient(xa, labels);
+      if (bits(grad.data()) != reference) ++mismatches;
+    } catch (const std::exception&) {
+      ++mismatches;  // a clobbered cache can also fail a shape contract
+    }
+  }
+  stop.store(true);
+  for (auto& t : readers) t.join();
+  EXPECT_EQ(mismatches, 0);
 }
 
 TEST(MlMonitor, RejectsBadConfig) {
