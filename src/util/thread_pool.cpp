@@ -4,6 +4,11 @@
 #include <chrono>
 #include <exception>
 
+#if defined(__linux__)
+#include <pthread.h>
+#include <sched.h>
+#endif
+
 #include "obs/metrics.h"
 #include "util/contracts.h"
 #include "util/logging.h"
@@ -95,10 +100,38 @@ ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) {
     threads = std::max<std::size_t>(1, std::thread::hardware_concurrency());
   }
+#if defined(__linux__)
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  if (sched_getaffinity(0, sizeof allowed, &allowed) == 0) {
+    for (int c = 0; c < CPU_SETSIZE; ++c) {
+      if (CPU_ISSET(c, &allowed)) cpus_.push_back(c);
+    }
+  }
+#endif
   workers_.reserve(threads);
   for (std::size_t i = 0; i < threads; ++i) {
     workers_.emplace_back([this] { worker_loop(); });
   }
+}
+
+void ThreadPool::keep_off_cpu(int cpu) {
+#if defined(__linux__)
+  if (cpu < 0 || cpus_.size() < 2 ||
+      off_cpu_.exchange(cpu, std::memory_order_relaxed) == cpu) {
+    return;
+  }
+  cpu_set_t others;
+  CPU_ZERO(&others);
+  for (const int c : cpus_) {
+    if (c != cpu) CPU_SET(c, &others);
+  }
+  for (std::thread& w : workers_) {
+    pthread_setaffinity_np(w.native_handle(), sizeof others, &others);
+  }
+#else
+  (void)cpu;
+#endif
 }
 
 ThreadPool::~ThreadPool() {
@@ -257,6 +290,9 @@ void parallel_for(int n, const std::function<void(int)>& fn,
   metrics.parallel_for_calls.increment();
   metrics.parallel_for_shards.record(static_cast<double>(helpers + 1));
 
+#if defined(__linux__)
+  pool.keep_off_cpu(sched_getcpu());
+#endif
   ForState st;
   st.fn = &fn;
   st.n = n;

@@ -5,6 +5,7 @@
 // process, not once per call.
 #pragma once
 
+#include <atomic>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
@@ -65,10 +66,20 @@ class ThreadPool {
 
   [[nodiscard]] std::size_t size() const { return workers_.size(); }
 
+  /// Keep every worker off `cpu` from now on, leaving it to a caller that
+  /// works beside the pool (parallel_for). Some schedulers queue a woken
+  /// worker on its waker's busy CPU instead of an idle one, where it cannot
+  /// start until the caller blocks or is preempted, so the fan-out runs
+  /// serially. Linux only; a no-op elsewhere, when `cpu` is negative, when
+  /// the pool has no other CPU, or when `cpu` is already the one kept off.
+  void keep_off_cpu(int cpu);
+
  private:
   void worker_loop();
 
   std::vector<std::thread> workers_;
+  std::vector<int> cpus_;  // the CPUs the constructing thread could run on
+  std::atomic<int> off_cpu_{-1};
   std::deque<std::function<void()>> queue_;
   std::exception_ptr first_error_;
   std::size_t failed_tasks_ = 0;  // failures since the last wait_idle rethrow

@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#if defined(__linux__)
+#include <sched.h>
+#endif
+
 #include <atomic>
 #include <numeric>
 #include <stdexcept>
@@ -31,6 +35,29 @@ TEST(ThreadPool, RunsAllTasks) {
     EXPECT_EQ(count.load(), 100);
   }
 }
+
+#if defined(__linux__)
+TEST(ThreadPool, KeepOffCpuRunsNoTaskOnThatCpu) {
+  cpu_set_t allowed;
+  CPU_ZERO(&allowed);
+  ASSERT_EQ(sched_getaffinity(0, sizeof allowed, &allowed), 0);
+  if (CPU_COUNT(&allowed) < 2) GTEST_SKIP() << "needs two CPUs";
+  int off = 0;
+  while (!CPU_ISSET(off, &allowed)) ++off;
+
+  ThreadPool pool(4);
+  pool.keep_off_cpu(off);
+  pool.keep_off_cpu(off);  // repeating the CPU is a no-op
+  std::atomic<int> on_off_cpu{0};
+  for (int i = 0; i < 64; ++i) {
+    pool.submit([&on_off_cpu, off] {
+      if (sched_getcpu() == off) on_off_cpu.fetch_add(1);
+    });
+  }
+  pool.wait_idle();
+  EXPECT_EQ(on_off_cpu.load(), 0);
+}
+#endif
 
 TEST(ThreadPool, WaitIdleOnEmptyPoolReturns) {
   ThreadPool pool(2);
