@@ -214,8 +214,9 @@ bool run_serialize(const std::string& input) {
 // ---- model ----------------------------------------------------------------
 
 // A tiny but fully valid cpsguard.model.v1 artifact, built through the
-// low-level writer (no training): header + meta JSON + scaler stream + two
-// tensors. Mutants start one edit away from every section.
+// low-level writer (no training): header + meta JSON + scaler stream + the
+// four tensors of a 2x3-window MLP with one hidden layer of 4, so it also
+// loads as a monitor. Mutants start one edit away from every section.
 std::string model_seed() {
   registry::ArtifactInfo info;
   info.arch = monitor::Arch::kMlp;
@@ -234,10 +235,13 @@ std::string model_seed() {
   const double stdv[3] = {1.0, 2.0, 0.5};
   scaler.append(reinterpret_cast<const char*>(mean), sizeof(mean));
   scaler.append(reinterpret_cast<const char*>(stdv), sizeof(stdv));
-  static const float w1[6] = {0.5f, -0.25f, 1.0f, 0.0f, 2.0f, -1.5f};
-  static const float b1[2] = {0.125f, -0.75f};
-  const std::vector<registry::TensorSpec> tensors{
-      {"w1", 3, 2, w1}, {"b1", 1, 2, b1}};
+  float w1[24];
+  for (int i = 0; i < 24; ++i) w1[i] = 0.125f * static_cast<float>(i % 7 - 3);
+  const float b1[4] = {0.125f, -0.75f, 0.0f, 0.5f};
+  const float w2[8] = {0.5f, -0.25f, 1.0f, 0.0f, 2.0f, -1.5f, 0.25f, 1.0f};
+  const float b2[2] = {0.0f, -0.125f};
+  const std::vector<registry::TensorEntry> tensors{
+      {"W", 6, 4, w1}, {"b", 1, 4, b1}, {"W", 4, 2, w2}, {"b", 1, 2, b2}};
   return registry::build_artifact(info, meta, scaler, tensors);
 }
 
@@ -253,9 +257,10 @@ bool run_model(const std::string& input) {
   require(art.rebuild() == input,
           "model: rebuild() of an accepted artifact is not bit-identical");
   // The surfaces behind an accepted container must also reject with typed
-  // errors only (the meta JSON is not validated by the container parser).
+  // errors only: the container parser validates neither the meta JSON nor
+  // whether the scaler and tensors fit the model the meta describes.
   accepts("parse_model_meta", [&] { (void)registry::parse_model_meta(art); });
-  accepts("weight_views", [&] { (void)art.weight_views(); });
+  accepts("load_monitor", [&] { (void)registry::load_monitor(art); });
   return true;
 }
 
@@ -344,7 +349,7 @@ std::vector<FuzzTarget> build_targets() {
        std::string("\x40\x00\x00\x00\x00\x00\x00\x00", 8),  // u64 64
        std::string("\xff\xff\xff\xff", 4),
        std::string(4, '\0'), std::string(64, '\0'),
-       "w1", "b1", "run_id", "hidden", "schema"},
+       "W", "b", "run_id", "hidden", "schema"},
       run_model});
 
   targets.push_back(FuzzTarget{

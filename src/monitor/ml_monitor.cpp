@@ -221,7 +221,7 @@ void MlMonitor::load(std::istream& is, int window, int features) {
 }
 
 void MlMonitor::bind(std::istream& scaler_stream, int window, int features,
-                     std::span<const nn::WeightView> weights) {
+                     std::span<const nn::NamedTensor> weights) {
   scaler_.load(scaler_stream);
   build_classifier(window, features);
   const auto ps = clf_->params();

@@ -93,20 +93,17 @@ class MlMonitor {
   void save(std::ostream& os) const;
   void load(std::istream& is, int window, int features);
 
-  /// Zero-copy restore: the scaler loads from a byte stream, the weights
-  /// bind as non-owning views into externally owned storage (the mmap'd
-  /// model artifact), copying no float. The backing buffer must outlive the
-  /// monitor; a bound monitor is inference-only — training would write
-  /// through the views and trips the borrowed-matrix contract. clone()
-  /// deep-copies back into owned storage.
+  /// Restore from a parsed model artifact: the scaler loads from a byte
+  /// stream and every weight is copied into the monitor's own storage
+  /// (nn::bind_params checks names, order and shapes). The monitor keeps
+  /// no pointer into `weights`.
   void bind(std::istream& scaler_stream, int window, int features,
-            std::span<const nn::WeightView> weights);
+            std::span<const nn::NamedTensor> weights);
 
-  /// Deep copy of a trained monitor (config + scaler + weights) into owned
-  /// storage, view-bound weights included. Concurrent readers need no
-  /// copy (predict is const); a copy is for an owner that must not depend
-  /// on the source's lifetime or backing file — the serve engine takes one
-  /// per model version.
+  /// Deep copy of a trained monitor (config + scaler + weights).
+  /// Concurrent readers need no copy (predict is const); a copy is for an
+  /// owner that must not depend on the source's lifetime — the serve
+  /// engine takes one per staged monitor.
   [[nodiscard]] std::unique_ptr<MlMonitor> clone() const;
 
  private:

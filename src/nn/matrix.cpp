@@ -23,22 +23,6 @@ Matrix::Matrix(int rows, int cols, std::vector<float> data)
           "matrix data size must match dimensions");
 }
 
-Matrix Matrix::view(const float* data, int rows, int cols) {
-  expects(rows >= 0 && cols >= 0, "matrix dimensions must be non-negative");
-  expects(data != nullptr || rows * cols == 0,
-          "matrix view needs backing storage");
-  Matrix m;
-  m.rows_ = rows;
-  m.cols_ = cols;
-  m.view_ = data;
-  return m;
-}
-
-float* Matrix::mptr() {
-  expects(!borrowed(), "mutating access to a borrowed (view) matrix");
-  return data_.data();
-}
-
 Matrix Matrix::zeros(int rows, int cols) { return Matrix(rows, cols); }
 
 Matrix Matrix::full(int rows, int cols, float value) {
@@ -63,57 +47,46 @@ Matrix Matrix::from_rows(const std::vector<std::vector<float>>& rows) {
 
 float& Matrix::at(int r, int c) {
   expects(r >= 0 && r < rows_ && c >= 0 && c < cols_, "matrix index out of range");
-  return mptr()[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
-                static_cast<std::size_t>(c)];
+  return data_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
+               static_cast<std::size_t>(c)];
 }
 
 float Matrix::at(int r, int c) const {
   expects(r >= 0 && r < rows_ && c >= 0 && c < cols_, "matrix index out of range");
-  return cptr()[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
-                static_cast<std::size_t>(c)];
-}
-
-std::span<float> Matrix::data() {
-  return {mptr(), static_cast<std::size_t>(size())};
+  return data_[static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_) +
+               static_cast<std::size_t>(c)];
 }
 
 std::span<float> Matrix::row(int r) {
   expects(r >= 0 && r < rows_, "row index out of range");
-  return std::span<float>(mptr(), static_cast<std::size_t>(size()))
-      .subspan(static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_),
-               static_cast<std::size_t>(cols_));
-}
-
-std::span<const float> Matrix::row(int r) const {
-  expects(r >= 0 && r < rows_, "row index out of range");
-  return data().subspan(
+  return std::span<float>(data_).subspan(
       static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_),
       static_cast<std::size_t>(cols_));
 }
 
-void Matrix::fill(float value) {
-  auto d = data();
-  std::fill(d.begin(), d.end(), value);
+std::span<const float> Matrix::row(int r) const {
+  expects(r >= 0 && r < rows_, "row index out of range");
+  return std::span<const float>(data_).subspan(
+      static_cast<std::size_t>(r) * static_cast<std::size_t>(cols_),
+      static_cast<std::size_t>(cols_));
 }
+
+void Matrix::fill(float value) { std::fill(data_.begin(), data_.end(), value); }
 
 void Matrix::add_in_place(const Matrix& other) { axpy(1.0f, other); }
 
 void Matrix::axpy(float alpha, const Matrix& other) {
   expects(rows_ == other.rows_ && cols_ == other.cols_, "axpy shape mismatch");
-  auto dst = data();
-  const auto src = other.data();
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] += alpha * src[i];
+  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] += alpha * other.data_[i];
 }
 
 void Matrix::scale(float alpha) {
-  for (float& v : data()) v *= alpha;
+  for (float& v : data_) v *= alpha;
 }
 
 void Matrix::hadamard_in_place(const Matrix& other) {
   expects(rows_ == other.rows_ && cols_ == other.cols_, "hadamard shape mismatch");
-  auto dst = data();
-  const auto src = other.data();
-  for (std::size_t i = 0; i < dst.size(); ++i) dst[i] *= src[i];
+  for (std::size_t i = 0; i < data_.size(); ++i) data_[i] *= other.data_[i];
 }
 
 void Matrix::add_row_vector(std::span<const float> v) {
@@ -144,13 +117,13 @@ Matrix Matrix::column_sums() const {
 
 float Matrix::max_abs() const {
   float m = 0.0f;
-  for (float v : data()) m = std::max(m, std::fabs(v));
+  for (float v : data_) m = std::max(m, std::fabs(v));
   return m;
 }
 
 float Matrix::sum() const {
   double s = 0.0;
-  for (float v : data()) s += v;
+  for (float v : data_) s += v;
   return static_cast<float>(s);
 }
 
@@ -159,10 +132,7 @@ std::string Matrix::shape_str() const {
 }
 
 bool operator==(const Matrix& a, const Matrix& b) {
-  if (a.rows_ != b.rows_ || a.cols_ != b.cols_) return false;
-  const auto ad = a.data();
-  const auto bd = b.data();
-  return std::equal(ad.begin(), ad.end(), bd.begin());
+  return a.rows_ == b.rows_ && a.cols_ == b.cols_ && a.data_ == b.data_;
 }
 
 // ---------------------------------------------------------------------------

@@ -20,15 +20,6 @@ class Matrix {
   /// Build from an initializer-style nested vector (tests, fixtures).
   static Matrix from_rows(const std::vector<std::vector<float>>& rows);
 
-  /// Non-owning read-only view over external row-major storage — the
-  /// zero-copy path for weights living in an mmap'd model artifact. The
-  /// backing buffer must outlive every copy of the view (copies alias the
-  /// same storage). All const reads work; any mutating accessor trips a
-  /// contract violation, so a view-bound classifier is inference-only.
-  static Matrix view(const float* data, int rows, int cols);
-  /// True when this matrix aliases external storage instead of owning it.
-  [[nodiscard]] bool borrowed() const { return view_ != nullptr; }
-
   [[nodiscard]] int rows() const { return rows_; }
   [[nodiscard]] int cols() const { return cols_; }
   [[nodiscard]] int size() const { return rows_ * cols_; }
@@ -37,10 +28,8 @@ class Matrix {
   float& at(int r, int c);
   [[nodiscard]] float at(int r, int c) const;
 
-  [[nodiscard]] std::span<float> data();
-  [[nodiscard]] std::span<const float> data() const {
-    return {cptr(), static_cast<std::size_t>(size())};
-  }
+  [[nodiscard]] std::span<float> data() { return data_; }
+  [[nodiscard]] std::span<const float> data() const { return data_; }
 
   [[nodiscard]] std::span<float> row(int r);
   [[nodiscard]] std::span<const float> row(int r) const;
@@ -70,20 +59,12 @@ class Matrix {
 
   [[nodiscard]] std::string shape_str() const;
 
-  /// Shape + element-wise content equality; a view compares equal to an
-  /// owned matrix holding the same bits.
   friend bool operator==(const Matrix& a, const Matrix& b);
 
  private:
-  [[nodiscard]] const float* cptr() const {
-    return view_ != nullptr ? view_ : data_.data();
-  }
-  [[nodiscard]] float* mptr();
-
   int rows_ = 0;
   int cols_ = 0;
   std::vector<float> data_;
-  const float* view_ = nullptr;  // non-null ⇒ borrowed, data_ empty
 };
 
 /// C = A * B. Blocked/unrolled kernel; large products shard output rows

@@ -1,7 +1,7 @@
 #include "nn/serialize.h"
 
+#include <algorithm>
 #include <cstdint>
-#include <fstream>
 #include <istream>
 #include <ostream>
 
@@ -90,37 +90,23 @@ void load_params(std::istream& is, std::span<Param* const> params) {
   }
 }
 
-void save_classifier(const std::string& path, Classifier& clf) {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw CpsError("cannot open model file for writing: " + path);
-  const auto ps = clf.params();
-  save_params(f, ps);
-}
-
-void load_classifier(const std::string& path, Classifier& clf) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw CpsError("cannot open model file for reading: " + path);
-  const auto ps = clf.params();
-  load_params(f, ps);
-}
-
 void bind_params(std::span<Param* const> params,
-                 std::span<const WeightView> views) {
-  if (views.size() != params.size()) {
+                 std::span<const NamedTensor> tensors) {
+  if (tensors.size() != params.size()) {
     throw CpsError("tensor count mismatch: artifact has " +
-                   std::to_string(views.size()) + ", model has " +
+                   std::to_string(tensors.size()) + ", model has " +
                    std::to_string(params.size()));
   }
   for (std::size_t i = 0; i < params.size(); ++i) {
     Param* p = params[i];
-    const WeightView& v = views[i];
-    if (v.name != p->name ||
-        v.rows != p->value.rows() || v.cols != p->value.cols()) {
+    const NamedTensor& t = tensors[i];
+    if (t.name != p->name ||
+        t.rows != p->value.rows() || t.cols != p->value.cols()) {
       throw CpsError("tensor mismatch while binding '" + p->name +
-                     "': artifact has '" + v.name + "' " +
-                     std::to_string(v.rows) + "x" + std::to_string(v.cols));
+                     "': artifact has '" + t.name + "' " +
+                     std::to_string(t.rows) + "x" + std::to_string(t.cols));
     }
-    p->value = Matrix::view(v.data, v.rows, v.cols);
+    std::copy(t.data, t.data + p->value.size(), p->value.data().begin());
   }
 }
 

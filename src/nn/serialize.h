@@ -20,25 +20,19 @@ void save_params(std::ostream& os, std::span<Param* const> params);
 /// headers (e.g. a 4 GiB name length) are rejected before any allocation.
 void load_params(std::istream& is, std::span<Param* const> params);
 
-/// Convenience wrappers over file paths.
-void save_classifier(const std::string& path, Classifier& clf);
-void load_classifier(const std::string& path, Classifier& clf);
-
-/// One named tensor living in externally owned storage (an mmap'd model
-/// artifact): the zero-copy counterpart of a serialized param record.
-struct WeightView {
+/// One named row-major tensor over storage someone else owns: a param
+/// handed to the model-artifact writer, or a blob of a parsed artifact.
+struct NamedTensor {
   std::string name;
   int rows = 0;
   int cols = 0;
   const float* data = nullptr;
 };
 
-/// Rebind each param's value as a non-owning Matrix view over the matching
-/// WeightView — no float is copied. Names, order and shapes must match the
-/// classifier exactly; throws CpsError otherwise. The backing storage must
-/// outlive the classifier; bound params are inference-only (mutation trips
-/// the borrowed-matrix contract).
+/// Copy each tensor into the matching param's own storage. Names, order and
+/// shapes must match the classifier exactly; throws CpsError otherwise.
+/// Nothing keeps pointing at `tensors` after the call.
 void bind_params(std::span<Param* const> params,
-                 std::span<const WeightView> views);
+                 std::span<const NamedTensor> tensors);
 
 }  // namespace cpsguard::nn

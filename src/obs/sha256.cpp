@@ -127,8 +127,6 @@ std::array<std::uint8_t, 32> Sha256::digest() {
   return out;
 }
 
-namespace {
-
 std::string to_hex(const std::array<std::uint8_t, 32>& digest) {
   static const char* hex = "0123456789abcdef";
   std::string out;
@@ -139,8 +137,6 @@ std::string to_hex(const std::array<std::uint8_t, 32>& digest) {
   }
   return out;
 }
-
-}  // namespace
 
 std::string sha256_hex(const void* data, std::size_t len) {
   Sha256 ctx;

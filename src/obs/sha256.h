@@ -30,6 +30,9 @@ class Sha256 {
   std::size_t buffered_ = 0;
 };
 
+/// Lowercase hex of a finished digest.
+std::string to_hex(const std::array<std::uint8_t, 32>& digest);
+
 /// Lowercase hex digest of a byte buffer.
 std::string sha256_hex(const void* data, std::size_t len);
 std::string sha256_hex(const std::string& data);

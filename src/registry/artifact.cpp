@@ -1,6 +1,7 @@
 #include "registry/artifact.h"
 
 #include <cstring>
+#include <fstream>
 
 #include "obs/sha256.h"
 
@@ -54,14 +55,14 @@ void require(bool ok, const char* what) {
 
 std::string build_artifact(const ArtifactInfo& info, std::string_view meta_json,
                            std::string_view scaler_bytes,
-                           const std::vector<TensorSpec>& tensors) {
+                           const std::vector<TensorEntry>& tensors) {
   require(!tensors.empty(), "a model needs at least one tensor");
   require(tensors.size() <= kMaxTensors, "too many tensors");
 
   // Directory + blob layout first, so the header can be written in one pass.
   std::string dir;
   std::uint64_t rel = 0;
-  for (const TensorSpec& t : tensors) {
+  for (const TensorEntry& t : tensors) {
     require(!t.name.empty() && t.name.size() <= kMaxNameLen,
             "bad tensor name length");
     require(t.rows >= 1 && static_cast<std::uint64_t>(t.rows) <= kMaxDim &&
@@ -82,7 +83,7 @@ std::string build_artifact(const ArtifactInfo& info, std::string_view meta_json,
   std::uint64_t blob_len = 0;
   {
     std::uint64_t r = 0;
-    for (const TensorSpec& t : tensors) {
+    for (const TensorEntry& t : tensors) {
       const std::uint64_t byte_len = static_cast<std::uint64_t>(t.rows) *
                                      static_cast<std::uint64_t>(t.cols) *
                                      sizeof(float);
@@ -121,7 +122,7 @@ std::string build_artifact(const ArtifactInfo& info, std::string_view meta_json,
   out.append(scaler_bytes);
   out.append(dir);
   out.append(static_cast<std::size_t>(blob_off) - out.size(), '\0');
-  for (const TensorSpec& t : tensors) {
+  for (const TensorEntry& t : tensors) {
     const std::size_t byte_len = static_cast<std::size_t>(t.rows) *
                                  static_cast<std::size_t>(t.cols) *
                                  sizeof(float);
@@ -138,23 +139,34 @@ std::string build_artifact(const ArtifactInfo& info, std::string_view meta_json,
   return out;
 }
 
+std::uint8_t* ModelArtifact::buffer(std::size_t len) {
+  owned_.assign((len + sizeof(std::uint64_t) - 1) / sizeof(std::uint64_t), 0);
+  return reinterpret_cast<std::uint8_t*>(owned_.data());
+}
+
 ModelArtifact ModelArtifact::open(const std::string& path) {
+  std::ifstream in(path, std::ios::binary | std::ios::ate);
+  const std::streamoff size = in.tellg();  // -1 when the open failed
+  if (size < 0) throw CpsError("cannot open model artifact " + path);
   ModelArtifact art;
-  art.map_ = MappedFile(path);
-  art.verify_and_index(art.map_.data(), art.map_.size());
+  const auto len = static_cast<std::size_t>(size);
+  std::uint8_t* base = art.buffer(len);
+  in.seekg(0);
+  // A file cut short while it is read is a typed error here; one rewritten
+  // meanwhile fails verification below. Either way no later write to the
+  // file reaches the verified bytes.
+  if (!in.read(reinterpret_cast<char*>(base), static_cast<std::streamsize>(len))) {
+    throw CpsError("cannot read model artifact " + path);
+  }
+  art.verify_and_index(base, len);
   return art;
 }
 
 ModelArtifact ModelArtifact::parse(std::string_view bytes) {
   ModelArtifact art;
-  // Copy into a u64-backed buffer: base is 8-byte aligned, blob offsets are
-  // multiples of 64, so every tensor view lands float-aligned.
-  art.owned_.assign((bytes.size() + sizeof(std::uint64_t) - 1) /
-                        sizeof(std::uint64_t),
-                    0);
-  if (!bytes.empty()) std::memcpy(art.owned_.data(), bytes.data(), bytes.size());
-  art.verify_and_index(reinterpret_cast<const std::uint8_t*>(art.owned_.data()),
-                       bytes.size());
+  std::uint8_t* base = art.buffer(bytes.size());
+  if (!bytes.empty()) std::memcpy(base, bytes.data(), bytes.size());
+  art.verify_and_index(base, bytes.size());
   return art;
 }
 
@@ -275,31 +287,20 @@ void ModelArtifact::verify_and_index(const std::uint8_t* base,
   }
   require(cursor == dir_end, "directory shorter than its section");
 
-  // Whole-file integrity last.
+  // Whole-file integrity last. The payload is hashed once: a copy of the
+  // context takes the trailer too and yields the whole-file digest.
   obs::Sha256 sha;
   sha.update(base, static_cast<std::size_t>(payload_end));
+  obs::Sha256 whole = sha;
   const auto digest = sha.digest();
   require(std::memcmp(digest.data(), base + payload_end, kModelShaSize) == 0,
           "SHA-256 mismatch — artifact corrupted");
-  sha_hex_ = obs::sha256_hex(base, len);
-}
-
-std::vector<nn::WeightView> ModelArtifact::weight_views() const {
-  std::vector<nn::WeightView> views;
-  views.reserve(tensors_.size());
-  for (const TensorEntry& t : tensors_) {
-    views.push_back(nn::WeightView{t.name, t.rows, t.cols, t.data});
-  }
-  return views;
+  whole.update(base + payload_end, kModelShaSize);
+  sha_hex_ = obs::to_hex(whole.digest());
 }
 
 std::string ModelArtifact::rebuild() const {
-  std::vector<TensorSpec> specs;
-  specs.reserve(tensors_.size());
-  for (const TensorEntry& t : tensors_) {
-    specs.push_back(TensorSpec{t.name, t.rows, t.cols, t.data});
-  }
-  return build_artifact(info_, meta_json_, scaler_, specs);
+  return build_artifact(info_, meta_json_, scaler_, tensors_);
 }
 
 }  // namespace cpsguard::registry

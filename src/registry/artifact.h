@@ -37,7 +37,6 @@
 
 #include "monitor/ml_monitor.h"
 #include "nn/serialize.h"
-#include "registry/mapped_file.h"
 #include "util/error.h"
 
 namespace cpsguard::registry {
@@ -64,36 +63,28 @@ struct ArtifactInfo {
   int classes = 0;
 };
 
-/// One tensor, parsed: name + shape + a pointer into the backing buffer.
-struct TensorEntry {
-  std::string name;
-  int rows = 0;
-  int cols = 0;
-  const float* data = nullptr;
-};
-
-/// Writer input: a named tensor to pack into the blob section.
-struct TensorSpec {
-  std::string name;
-  int rows = 0;
-  int cols = 0;
-  const float* data = nullptr;
-};
+/// One tensor: name + shape + a pointer to its floats. Writer input, and
+/// what a parsed artifact exposes (pointing into its own buffer).
+using TensorEntry = nn::NamedTensor;
 
 /// Serialize one canonical cpsguard.model.v1 byte string (header, sections,
 /// aligned blobs, SHA-256 trailer).
 std::string build_artifact(const ArtifactInfo& info, std::string_view meta_json,
                            std::string_view scaler_bytes,
-                           const std::vector<TensorSpec>& tensors);
+                           const std::vector<TensorEntry>& tensors);
 
-/// A parsed-and-verified artifact plus the buffer backing its tensor views.
-/// `open` maps the file read-only (zero-copy); `parse` copies the bytes into
-/// an owned 64-byte-aligned buffer (fuzzing, corruption tests). Tensor data
-/// pointers alias the backing storage, so the ModelArtifact must outlive any
-/// monitor bound to it.
+/// A parsed-and-verified artifact that owns its bytes: `open` reads the
+/// file and `parse` copies a byte string into the same buffer, then both
+/// verify it. Section views and tensor data point into that buffer, so
+/// they live as long as the artifact (moves keep them valid; copies are
+/// refused). Nothing reads the file after `open` returns.
 class ModelArtifact {
  public:
   ModelArtifact() = default;
+  ModelArtifact(ModelArtifact&&) = default;
+  ModelArtifact& operator=(ModelArtifact&&) = default;
+  ModelArtifact(const ModelArtifact&) = delete;
+  ModelArtifact& operator=(const ModelArtifact&) = delete;
 
   static ModelArtifact open(const std::string& path);
   static ModelArtifact parse(std::string_view bytes);
@@ -109,19 +100,18 @@ class ModelArtifact {
   [[nodiscard]] const std::string& file_sha256_hex() const { return sha_hex_; }
   [[nodiscard]] std::size_t size_bytes() const { return len_; }
 
-  /// Non-owning weight views over the blob section, in directory order —
-  /// feed straight into nn::bind_params / monitor::MlMonitor::bind.
-  [[nodiscard]] std::vector<nn::WeightView> weight_views() const;
-
   /// Re-encode from the parsed sections. Canonical layout guarantees this
   /// is bit-identical to the accepted input (fuzz invariant).
   [[nodiscard]] std::string rebuild() const;
 
  private:
+  /// Size the buffer for `len` bytes and return its start.
+  std::uint8_t* buffer(std::size_t len);
   void verify_and_index(const std::uint8_t* base, std::size_t len);
 
-  MappedFile map_;                    // open() backing
-  std::vector<std::uint64_t> owned_;  // parse() backing (64-byte aligned)
+  // u64-backed: the base is 8-byte aligned and every blob starts at a
+  // multiple of 64, so tensor data is float-aligned.
+  std::vector<std::uint64_t> owned_;
   std::size_t len_ = 0;
 
   ArtifactInfo info_;

@@ -52,11 +52,11 @@ std::string build_model_artifact(monitor::MlMonitor& mon,
   std::ostringstream scaler;
   mon.scaler().save(scaler);
 
-  std::vector<TensorSpec> tensors;
+  std::vector<TensorEntry> tensors;
   for (nn::Param* p : clf.params()) {
     const nn::Matrix& value = p->value;
     tensors.push_back(
-        TensorSpec{p->name, value.rows(), value.cols(), value.data().data()});
+        TensorEntry{p->name, value.rows(), value.cols(), value.data().data()});
   }
   return build_artifact(info, j.dump(), scaler.str(), tensors);
 }
@@ -104,9 +104,8 @@ std::unique_ptr<monitor::MlMonitor> load_monitor(const ModelArtifact& art) {
   mc.hidden = meta.hidden;
   auto mon = std::make_unique<monitor::MlMonitor>(mc);
   std::istringstream scaler{std::string(art.scaler_bytes())};
-  const std::vector<nn::WeightView> views = art.weight_views();
   try {
-    mon->bind(scaler, art.info().window, art.info().features, views);
+    mon->bind(scaler, art.info().window, art.info().features, art.tensors());
   } catch (const ContractViolation& e) {
     // Scaler-stream validation uses contracts; surface it as the typed
     // format error every registry caller handles.

@@ -1,7 +1,6 @@
 // Monitor ⇄ artifact bridge: serialize a trained monitor into one
-// cpsguard.model.v1 byte string (with lineage metadata), and bind a parsed
-// artifact back into an inference-only MlMonitor whose weights are
-// zero-copy views over the artifact's blob section.
+// cpsguard.model.v1 byte string (with lineage metadata), and decode a parsed
+// artifact back into a self-contained MlMonitor that owns its weights.
 #pragma once
 
 #include <cstdint>
@@ -34,9 +33,10 @@ std::string build_model_artifact(monitor::MlMonitor& mon,
 /// JSON this writer produces (wrong schema tag, missing or mistyped keys).
 ModelMeta parse_model_meta(const ModelArtifact& art);
 
-/// Reconstruct an inference-only monitor over the artifact's storage: the
-/// scaler loads from the scaler section, every weight binds as a non-owning
-/// view into the blob section (zero-copy). `art` must outlive the monitor.
+/// Reconstruct the monitor: the scaler loads from the scaler section and
+/// every weight is copied out of the blob section, so the monitor outlives
+/// `art`. A bad scaler section throws ModelFormatError; tensors whose
+/// names, count or shapes disagree with the meta throw CpsError.
 std::unique_ptr<monitor::MlMonitor> load_monitor(const ModelArtifact& art);
 
 }  // namespace cpsguard::registry

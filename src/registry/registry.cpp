@@ -120,10 +120,7 @@ ModelRecord ModelRegistry::describe(std::uint64_t version) const {
 }
 
 ModelRegistry::LoadedModel ModelRegistry::load(std::uint64_t version) const {
-  LoadedModel out;
-  out.artifact = open(version);
-  out.monitor = load_monitor(out.artifact);
-  return out;
+  return LoadedModel{load_monitor(open(version))};
 }
 
 std::uint64_t ModelRegistry::publish(monitor::MlMonitor& mon,

@@ -47,16 +47,16 @@ class ModelRegistry {
   /// Highest registered version, 0 when the registry is empty.
   [[nodiscard]] std::uint64_t latest() const;
 
-  /// Verify-on-open: full structural parse + SHA-256 of the mapped file.
+  /// Verify-on-open: read the file, then full structural parse + SHA-256.
   /// Throws CpsError (ModelFormatError for corruption) — never returns a
   /// questionable artifact.
   [[nodiscard]] ModelArtifact open(std::uint64_t version) const;
   /// Parse header + meta of a version (verify included).
   [[nodiscard]] ModelRecord describe(std::uint64_t version) const;
-  /// Open + bind: an inference-only monitor whose weights are zero-copy
-  /// views into a mapping owned by the returned pair's artifact.
+  /// Open + decode: a self-contained monitor that owns its weights. It
+  /// scores with the verified bytes for its whole life, whatever happens
+  /// to the file afterwards (rewritten, truncated or GC'd).
   struct LoadedModel {
-    ModelArtifact artifact;  // owns the mmap; must outlive the monitor
     std::unique_ptr<monitor::MlMonitor> monitor;
   };
   [[nodiscard]] LoadedModel load(std::uint64_t version) const;

@@ -176,9 +176,20 @@ std::size_t Engine::queue_depth() const {
 void Engine::stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
                          SwapMode mode) {
   expects(mon.trained(), "staged monitor must be trained");
+  stage(mon.clone(), version, mode);
+}
+
+void Engine::swap_model(const registry::ModelRegistry& reg,
+                        std::uint64_t version, SwapMode mode) {
+  // load() verifies the artifact (structure + SHA) and returns a monitor
+  // that owns the verified bytes, so the shards share it as it is.
+  stage(reg.load(version).monitor, version, mode);
+}
+
+void Engine::stage(const std::shared_ptr<const monitor::MlMonitor>& model,
+                   std::uint64_t version, SwapMode mode) {
   expects(version > 0, "model versions start at 1");
-  check_shape(mon, config_);
-  const std::shared_ptr<const monitor::MlMonitor> model = mon.clone();
+  check_shape(*model, config_);
   for (auto& shard : shards_) shard->stage(model, version, mode);
   if (mode == SwapMode::kShadow) {
     shadow_version_ = version;
@@ -189,19 +200,6 @@ void Engine::stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
   staged_version_ = version;
   stage_tick_ = ticks();
   swap_stats_.last_stage_tick = stage_tick_;
-}
-
-void Engine::swap_model(const registry::ModelRegistry& reg,
-                        std::uint64_t version, SwapMode mode) {
-  // load() verifies the artifact (structure + SHA) before any shard sees
-  // it, and stage_model copies the weights out of the mmap into the one
-  // owned copy every shard shares. The shards never read the mapped file:
-  // it could be rewritten in place after verification, and the copy keeps
-  // the verified bytes the ones that score for the whole life of the
-  // version. The mapping dies with `loaded`, so the registry file can be
-  // removed afterwards.
-  const registry::ModelRegistry::LoadedModel loaded = reg.load(version);
-  stage_model(*loaded.monitor, version, mode);
 }
 
 bool Engine::promote_shadow() {

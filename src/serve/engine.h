@@ -141,9 +141,9 @@ class Engine {
   void stage_model(const monitor::MlMonitor& mon, std::uint64_t version,
                    SwapMode mode = SwapMode::kEpoch);
 
-  /// Load `version` from `reg` (verify-on-open) and stage it. The mmap'd
-  /// artifact only lives for the duration of the call — staging copies it
-  /// into owned storage — so the registry file can be GC'd afterwards.
+  /// Load `version` from `reg` (verify-on-open) and stage it. The loaded
+  /// monitor owns its weights and the shards share it without a copy; the
+  /// registry file can be rewritten or GC'd afterwards.
   void swap_model(const registry::ModelRegistry& reg, std::uint64_t version,
                   SwapMode mode = SwapMode::kEpoch);
 
@@ -165,6 +165,10 @@ class Engine {
   [[nodiscard]] const SwapStats& swap_stats() const { return swap_stats_; }
 
  private:
+  /// Shape-check `model`, then hand it to every shard as `version`.
+  void stage(const std::shared_ptr<const monitor::MlMonitor>& model,
+             std::uint64_t version, SwapMode mode);
+
   EngineConfig config_;
   std::atomic<std::int64_t> session_budget_;
   std::atomic<std::int64_t> ticks_{0};

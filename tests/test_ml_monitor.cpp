@@ -198,8 +198,8 @@ TEST(BatchEval, ChunkedPredictProbaMatchesSingleCall) {
 }
 
 // Four threads score on one shared const monitor — MLP, LSTM, GRU and a
-// registry-bound (mmap'd, zero-copy) MLP — each on its own batch, and
-// every result is bit-identical to a serial call on that batch.
+// registry-loaded MLP — each on its own batch, and every result is
+// bit-identical to a serial call on that batch.
 TEST(MlMonitor, SharedConstMonitorScoresConcurrently) {
   const Dataset ds = small_dataset(10);
   std::vector<std::unique_ptr<MlMonitor>> owned;
@@ -213,11 +213,11 @@ TEST(MlMonitor, SharedConstMonitorScoresConcurrently) {
   std::filesystem::remove_all(dir);
   registry::ModelRegistry reg(dir);
   const std::uint64_t version = reg.publish(*owned.front(), "MLP", "test");
-  const registry::ModelRegistry::LoadedModel bound = reg.load(version);
+  const registry::ModelRegistry::LoadedModel loaded = reg.load(version);
 
   std::vector<const MlMonitor*> monitors;
   for (const auto& m : owned) monitors.push_back(m.get());
-  monitors.push_back(bound.monitor.get());
+  monitors.push_back(loaded.monitor.get());
   constexpr int kThreads = 4;
   for (const MlMonitor* shared : monitors) {
     const nn::Tensor3 scaled = shared->scaler().transform(ds.x);

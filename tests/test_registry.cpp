@@ -1,14 +1,17 @@
-// Model registry + artifact suite: mmap zero-copy load bit-identity against
-// the freshly trained monitor (all three architectures), canonical rebuild,
-// flip-a-byte corruption rejection, atomic-publish crash safety under chaos
-// injection, lineage chaining, retained-version GC, and the inference-only
-// contract of a bound (view-backed) monitor.
+// Model registry + artifact suite: load bit-identity against the freshly
+// trained monitor (all three architectures), canonical rebuild, flip-a-byte
+// corruption rejection, atomic-publish crash safety under chaos injection,
+// lineage chaining, retained-version GC, a loaded monitor that keeps its
+// verified bytes when the file changes, and loads racing publish and GC.
 #include "registry/registry.h"
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <thread>
 
 #include "core/experiment.h"
 #include "registry/artifact.h"
@@ -64,7 +67,7 @@ class RegistryTest : public ::testing::Test {
   std::string dir_;
 };
 
-TEST_F(RegistryTest, MmapLoadIsBitIdenticalForAllArchitectures) {
+TEST_F(RegistryTest, LoadIsBitIdenticalForAllArchitectures) {
   ModelRegistry reg(dir_);
   const core::MonitorVariant variants[] = {
       {monitor::Arch::kMlp, false},
@@ -75,9 +78,9 @@ TEST_F(RegistryTest, MmapLoadIsBitIdenticalForAllArchitectures) {
     monitor::MlMonitor& trained = exp_.monitor(v);
     const std::uint64_t version = exp_.publish_monitor(v, reg);
 
-    // Zero-copy load: the monitor's weights are views into the mmap'd
-    // artifact. Probabilities must match the in-memory monitor bit for bit
-    // — same scaler stream, same weight bytes, same forward path.
+    // The loaded monitor's weights are copies of the verified blobs.
+    // Probabilities must match the in-memory monitor bit for bit — same
+    // scaler stream, same weight bytes, same forward path.
     const ModelRegistry::LoadedModel loaded = reg.load(version);
     const nn::Tensor3& x = exp_.test_data().x;
     const nn::Matrix expected = trained.predict_proba(x);
@@ -202,23 +205,77 @@ TEST_F(RegistryTest, GcRetainsNewestVersions) {
   EXPECT_FALSE(reg.describe(3).meta.parent_run_id.empty());
 }
 
-TEST_F(RegistryTest, BoundMonitorIsInferenceOnly) {
+TEST_F(RegistryTest, LoadedMonitorKeepsVerifiedBytes) {
   ModelRegistry reg(dir_);
   const core::MonitorVariant mlp{monitor::Arch::kMlp, false};
   const std::uint64_t version = exp_.publish_monitor(mlp, reg);
   const ModelRegistry::LoadedModel loaded = reg.load(version);
+  const nn::Tensor3& x = exp_.test_data().x;
+  const nn::Matrix expected = exp_.monitor(mlp).predict_proba(x);
 
-  // The zero-copy monitor's weights are read-only views into the mmap;
-  // mutating them must trip the borrowed-matrix contract, not scribble on
-  // the page cache.
+  // Rewrite the artifact in place with zeros, then cut it to nothing. A
+  // monitor reading the file (a shared mapping, say) would score the new
+  // bytes and then fault; the loaded monitor must not notice either.
+  const std::string path = reg.path_of(version);
+  const std::string zeros(static_cast<std::size_t>(fs::file_size(path)), '\0');
+  std::FILE* f = std::fopen(path.c_str(), "r+b");
+  ASSERT_NE(f, nullptr);
+  ASSERT_EQ(std::fwrite(zeros.data(), 1, zeros.size(), f), zeros.size());
+  ASSERT_EQ(std::fclose(f), 0);
+  EXPECT_EQ(loaded.monitor->predict_proba(x), expected);
+  fs::resize_file(path, 0);
+  EXPECT_EQ(loaded.monitor->predict_proba(x), expected);
+
+  // The weights are the monitor's own storage.
   nn::Param* w = loaded.monitor->classifier().params().front();
-  EXPECT_THROW(w->value.fill(0.0f), ContractViolation);
+  EXPECT_NO_THROW(w->value.fill(0.0f));
+}
 
-  // clone() deep-copies back into owned storage: the clone is mutable and
-  // survives the artifact (and its mapping) going away.
-  const auto clone = loaded.monitor->clone();
-  clone->classifier().params().front()->value.fill(0.0f);
-  EXPECT_NO_THROW((void)clone->predict_proba(exp_.test_data().x));
+TEST_F(RegistryTest, ConcurrentLoadsWhilePublishingAndGc) {
+  ModelRegistry reg(dir_);
+  const core::MonitorVariant mlp{monitor::Arch::kMlp, false};
+  (void)exp_.publish_monitor(mlp, reg);
+  const nn::Tensor3& x = exp_.test_data().x;
+  const nn::Matrix expected = exp_.monitor(mlp).predict_proba(x);
+
+  // Four threads load the newest version and score it while this thread
+  // publishes and GCs. A load either returns a monitor that scores bit for
+  // bit like the trained one, or throws a typed CpsError (its version was
+  // GC'd between the listing and the read).
+  std::atomic<bool> done{false};
+  std::atomic<int> scored{0};
+  std::atomic<int> wrong{0};
+  std::vector<std::thread> loaders;
+  for (int t = 0; t < 4; ++t) {
+    loaders.emplace_back([&] {
+      // Each thread keeps going until it has scored once, so the count
+      // below does not depend on scheduling.
+      int mine = 0;
+      while (!done.load() || (mine == 0 && wrong.load() == 0)) {
+        try {
+          const ModelRegistry::LoadedModel m = reg.load(reg.latest());
+          if (m.monitor->predict_proba(x) == expected) {
+            ++mine;
+          } else {
+            ++wrong;
+          }
+        } catch (const CpsError&) {
+          // Typed: the version went between the listing and the read.
+        }
+      }
+      scored += mine;
+    });
+  }
+  for (int i = 0; i < 12; ++i) {
+    (void)exp_.publish_monitor(mlp, reg);
+    (void)reg.gc(1);
+  }
+  done.store(true);
+  for (std::thread& t : loaders) t.join();
+
+  EXPECT_EQ(wrong.load(), 0);
+  EXPECT_GE(scored.load(), 4);
+  EXPECT_EQ(reg.versions(), (std::vector<std::uint64_t>{13}));
 }
 
 TEST_F(RegistryTest, MissingAndForeignVersionsAreTypedErrors) {

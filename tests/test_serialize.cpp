@@ -3,8 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <cstdio>
-#include <filesystem>
 #include <sstream>
 
 #include "nn/lstm_classifier.h"
@@ -96,27 +94,6 @@ TEST(Serialize, RejectsShapeMismatch) {
   }
   const auto ps = big.params();
   EXPECT_THROW(load_params(ss, ps), std::runtime_error);
-}
-
-TEST(Serialize, FileRoundtrip) {
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cpsguard_model_test.bin").string();
-  util::Rng rng(8);
-  MlpClassifier a(2, 2, {4}, 2, rng);
-  save_classifier(path, a);
-  util::Rng rng2(9);
-  MlpClassifier b(2, 2, {4}, 2, rng2);
-  load_classifier(path, b);
-  util::Rng xr(10);
-  const Tensor3 x = random_tensor(2, 2, 2, xr);
-  EXPECT_TRUE(a.predict_proba(x) == b.predict_proba(x));
-  std::remove(path.c_str());
-}
-
-TEST(Serialize, MissingFileThrows) {
-  util::Rng rng(11);
-  MlpClassifier clf(1, 2, {3}, 2, rng);
-  EXPECT_THROW(load_classifier("/nonexistent/model.bin", clf), std::runtime_error);
 }
 
 // Regression (fuzz target "serialize"): a corrupt stream declaring

@@ -688,9 +688,8 @@ TEST_F(ServeTest, SwapModelFromRegistryMatchesFromScratchEngine) {
       by_window(drive(exp_, other_reference, 4, [](int) {}));
 
   // Swap the registry's v2 in a third of the way in and v3 at two thirds.
-  // The mmap'd artifact dies inside swap_model (the engine copies it once
-  // into owned storage the shards share), so GC'ing v1 and v2 afterwards
-  // is safe.
+  // The loaded monitor the shards share owns its weights, so GC'ing v1
+  // and v2 afterwards is safe.
   const int steps = exp_.test_traces().front().length();
   const int first = steps / 3;
   const int second = 2 * steps / 3;
