@@ -8,6 +8,7 @@
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
+#include <numeric>
 #include <sstream>
 
 #include "obs/events.h"
@@ -519,46 +520,97 @@ EvalResult Experiment::evaluate_under_blackbox(const MonitorVariant& v,
 std::vector<EvalResult> Experiment::run_checkpointed_sweep(
     const char* kind, const MonitorVariant& v, std::span<const double> params,
     std::uint64_t extra, const std::function<void()>& prepare,
-    const std::function<EvalResult(int)>& compute_point) {
+    const std::function<nn::Tensor3(int)>& scaled_input) {
+  // Hydrate every memoized structure before fanning out: the parallel
+  // bodies must not touch the mutable maps. They share `mon` read-only.
+  const monitor::MlMonitor& mon = monitor(v);
+  const std::vector<int>& clean = clean_predictions(v);
+  const monitor::Dataset& test = data_->test;
+
+  const std::string name = std::string("sweep.") + kind;
+  const obs::ScopedSpan span(name);
+  static obs::Counter& points =
+      obs::Registry::instance().counter("experiment.sweep_points");
+  static obs::Counter& predicted =
+      obs::Registry::instance().counter("experiment.sweep_windows_predicted");
+  points.add(params.size());
+  CPSGUARD_OBS_EVENT(name.c_str(), obs::f("model", v.name()),
+                     obs::f("points", static_cast<int>(params.size())));
+
   const int n = static_cast<int>(params.size());
   std::vector<EvalResult> out(static_cast<std::size_t>(n));
-  std::vector<char> done(static_cast<std::size_t>(n), 0);
-  if (checkpoint_store_ != nullptr) {
-    int resumed = 0;
-    for (int i = 0; i < n; ++i) {
-      const auto si = static_cast<std::size_t>(i);
+  std::vector<int> missing;  // point indices still to compute, ascending
+  for (int i = 0; i < n; ++i) {
+    const auto si = static_cast<std::size_t>(i);
+    if (checkpoint_store_ != nullptr) {
       const auto payload =
           checkpoint_store_->get(sweep_point_key(kind, v, params[si], extra));
-      if (!payload) continue;
-      if (const auto r = decode_eval(*payload)) {
-        out[si] = *r;
-        done[si] = 1;
-        ++resumed;
+      if (payload) {
+        if (const auto r = decode_eval(*payload)) {
+          out[si] = *r;
+          continue;
+        }
       }
     }
-    if (resumed > 0) {
-      util::log_info("sweep.", kind, " ", v.name(), ": resumed ", resumed, "/",
-                     n, " points from ", checkpoint_store_->dir());
-    }
+    missing.push_back(i);
   }
+  if (checkpoint_store_ != nullptr && static_cast<int>(missing.size()) < n) {
+    util::log_info("sweep.", kind, " ", v.name(), ": resumed ",
+                   n - static_cast<int>(missing.size()), "/", n,
+                   " points from ", checkpoint_store_->dir());
+  }
+  if (missing.empty()) return out;
+  const int m = static_cast<int>(missing.size());
+
   // Shared per-curve work (the FGSM input gradient) runs once, serially,
   // and only when some point still has to be computed.
-  if (prepare && std::find(done.begin(), done.end(), 0) != done.end()) {
+  if (prepare) {
     util::check_deadline(kind);
     prepare();
   }
-  util::parallel_for(n, [&](int i) {
-    const auto si = static_cast<std::size_t>(i);
-    if (done[si]) return;
+
+  // Phase 1: each missing point's scaled, perturbed input.
+  std::vector<nn::Tensor3> inputs(missing.size());
+  util::parallel_for(m, [&](int j) {
+    const auto sj = static_cast<std::size_t>(j);
     util::check_deadline(kind);
     // The chaos key is position-stable (kind, variant, index), so a given
     // chaos seed replays the same fault schedule in every process.
     const std::string chaos_key =
-        std::string(kind) + '|' + v.name() + '|' + std::to_string(i);
+        std::string(kind) + '|' + v.name() + '|' + std::to_string(missing[sj]);
     util::retry_call(util::RetryPolicy::for_tasks(), "sweep.point", [&] {
       util::chaos().maybe_throw("sweep.point", chaos_key);
-      out[si] = compute_point(i);
+      inputs[sj] = scaled_input(missing[sj]);
     });
+  });
+
+  // Phase 2: one flat fan-out over every (point, row chunk). Rows predict
+  // independently, so a chunk's classes equal its rows of a whole-set
+  // predict, and a five-point curve keeps every thread busy to the end.
+  const int rows = test.size();
+  const int chunks = (rows + kSweepChunkRows - 1) / kSweepChunkRows;
+  std::vector<int> row_ids(static_cast<std::size_t>(rows));
+  std::iota(row_ids.begin(), row_ids.end(), 0);
+  std::vector<std::vector<int>> preds(
+      missing.size(), std::vector<int>(static_cast<std::size_t>(rows)));
+  util::parallel_for(m * chunks, [&](int task) {
+    const auto sj = static_cast<std::size_t>(task / chunks);
+    const int r0 = (task % chunks) * kSweepChunkRows;
+    const int r1 = std::min(rows, r0 + kSweepChunkRows);
+    const auto chunk = std::span<const int>(row_ids).subspan(
+        static_cast<std::size_t>(r0), static_cast<std::size_t>(r1 - r0));
+    const std::vector<int> p = mon.predict_scaled(inputs[sj].gather(chunk));
+    std::copy(p.begin(), p.end(), preds[sj].begin() + r0);
+    predicted.add(p.size());
+  });
+
+  // Phase 3: metrics and the checkpoint record of every computed point.
+  util::parallel_for(m, [&](int j) {
+    const auto sj = static_cast<std::size_t>(j);
+    const auto si = static_cast<std::size_t>(missing[sj]);
+    out[si].confusion =
+        eval::evaluate_with_tolerance(test, preds[sj], config_.tolerance_delta);
+    out[si].robustness_err = eval::robustness_error(clean, preds[sj]);
     if (checkpoint_store_ != nullptr) {
       checkpoint_store_->put(sweep_point_key(kind, v, params[si], extra),
                              encode_eval(out[si]));
@@ -570,36 +622,18 @@ std::vector<EvalResult> Experiment::run_checkpointed_sweep(
 std::vector<EvalResult> Experiment::evaluate_under_gaussian_sweep(
     const MonitorVariant& v, std::span<const double> sigma_factors,
     std::uint64_t noise_seed) {
-  // Hydrate every memoized structure before fanning out: the parallel
-  // bodies must not touch the mutable maps. They share `mon` read-only.
   const monitor::MlMonitor& mon = monitor(v);
-  const std::vector<int>& clean = clean_predictions(v);
-  const monitor::Dataset& test = data_->test;
-
-  const obs::ScopedSpan span("sweep.gaussian");
-  static obs::Counter& points =
-      obs::Registry::instance().counter("experiment.sweep_points");
-  points.add(sigma_factors.size());
-  CPSGUARD_OBS_EVENT("sweep.gaussian", obs::f("model", v.name()),
-                     obs::f("points", static_cast<int>(sigma_factors.size())));
-
+  const monitor::Dataset& test = test_data();
   return run_checkpointed_sweep(
       "gaussian", v, sigma_factors, noise_seed, /*prepare=*/{}, [&](int i) {
-        const auto si = static_cast<std::size_t>(i);
         // The noise RNG is keyed on the seed alone (not the point index),
         // exactly as the serial loop over evaluate_under_gaussian() seeded
         // it, so the outputs stay bit-identical to a serial sweep.
         attack::GaussianNoiseConfig gc;
-        gc.sigma_factor = sigma_factors[si];
+        gc.sigma_factor = sigma_factors[static_cast<std::size_t>(i)];
         util::Rng rng(noise_seed, 0x4e4f4953u /* 'NOIS' */);
-        const nn::Tensor3 noisy =
-            attack::add_gaussian_noise(test.x, mon.scaler(), gc, rng);
-        const std::vector<int> preds = mon.predict(noisy);
-        EvalResult r;
-        r.confusion =
-            eval::evaluate_with_tolerance(test, preds, config_.tolerance_delta);
-        r.robustness_err = eval::robustness_error(clean, preds);
-        return r;
+        return mon.scaler().transform(
+            attack::add_gaussian_noise(test.x, mon.scaler(), gc, rng));
       });
 }
 
@@ -607,20 +641,10 @@ std::vector<EvalResult> Experiment::evaluate_under_fgsm_sweep(
     const MonitorVariant& v, std::span<const double> epsilons,
     attack::FeatureMask mask) {
   monitor::MlMonitor& mon = monitor(v);
-  const std::vector<int>& clean = clean_predictions(v);
   const nn::Tensor3& scaled = scaled_test_input(v);
-  const monitor::Dataset& test = data_->test;
-
-  const obs::ScopedSpan span("sweep.fgsm");
-  static obs::Counter& points =
-      obs::Registry::instance().counter("experiment.sweep_points");
-  points.add(epsilons.size());
-  CPSGUARD_OBS_EVENT("sweep.fgsm", obs::f("model", v.name()),
-                     obs::f("points", static_cast<int>(epsilons.size())));
-
+  const monitor::Dataset& test = test_data();
   // The input gradient does not depend on ε: one per curve, computed
-  // before the fan-out, then every point applies its ε to it and predicts
-  // on the shared monitor.
+  // before the fan-out, then every point applies its ε to it.
   nn::Tensor3 grad;
   return run_checkpointed_sweep(
       "fgsm", v, epsilons, static_cast<std::uint64_t>(mask),
@@ -628,34 +652,17 @@ std::vector<EvalResult> Experiment::evaluate_under_fgsm_sweep(
         grad = attack::fgsm_gradient(mon.classifier(), scaled, test.labels);
       },
       [&](int i) {
-        const auto si = static_cast<std::size_t>(i);
         attack::FgsmConfig fc;
-        fc.epsilon = epsilons[si];
+        fc.epsilon = epsilons[static_cast<std::size_t>(i)];
         fc.mask = mask;
-        const nn::Tensor3 adv = attack::fgsm_apply(scaled, grad, fc);
-        const std::vector<int> preds = mon.predict_scaled(adv);
-        EvalResult r;
-        r.confusion =
-            eval::evaluate_with_tolerance(test, preds, config_.tolerance_delta);
-        r.robustness_err = eval::robustness_error(clean, preds);
-        return r;
+        return attack::fgsm_apply(scaled, grad, fc);
       });
 }
 
 std::vector<EvalResult> Experiment::evaluate_under_blackbox_sweep(
     const MonitorVariant& v, std::span<const double> epsilons) {
-  const monitor::MlMonitor& mon = monitor(v);
-  const std::vector<int>& clean = clean_predictions(v);
   const nn::Tensor3& scaled = scaled_test_input(v);
-  const monitor::Dataset& test = data_->test;
-
-  const obs::ScopedSpan span("sweep.blackbox");
-  static obs::Counter& points =
-      obs::Registry::instance().counter("experiment.sweep_points");
-  points.add(epsilons.size());
-  CPSGUARD_OBS_EVENT("sweep.blackbox", obs::f("model", v.name()),
-                     obs::f("points", static_cast<int>(epsilons.size())));
-
+  const std::vector<int>& clean = clean_predictions(v);
   // As for white-box FGSM, but the gradient is the substitute's (what
   // SubstituteAttack::craft computes), fitted only if a point is missing.
   nn::Tensor3 grad;
@@ -666,16 +673,9 @@ std::vector<EvalResult> Experiment::evaluate_under_blackbox_sweep(
                                      clean);
       },
       [&](int i) {
-        const auto si = static_cast<std::size_t>(i);
         attack::FgsmConfig fc;
-        fc.epsilon = epsilons[si];
-        const nn::Tensor3 adv = attack::fgsm_apply(scaled, grad, fc);
-        const std::vector<int> preds = mon.predict_scaled(adv);
-        EvalResult r;
-        r.confusion =
-            eval::evaluate_with_tolerance(test, preds, config_.tolerance_delta);
-        r.robustness_err = eval::robustness_error(clean, preds);
-        return r;
+        fc.epsilon = epsilons[static_cast<std::size_t>(i)];
+        return attack::fgsm_apply(scaled, grad, fc);
       });
 }
 

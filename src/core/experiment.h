@@ -113,6 +113,12 @@ struct EvalResult {
 
 class Experiment {
  public:
+  /// Test windows per predict task of a sweep's fan-out. 64, 128 and 218
+  /// rows gave 101k, 109k and 85k windows/s on the Fig. 9 workload (4
+  /// threads): smaller chunks pay per-call overhead, larger ones leave
+  /// threads idle at the end of a curve.
+  static constexpr int kSweepChunkRows = 128;
+
   explicit Experiment(ExperimentConfig config);
 
   /// Generate the campaign and datasets (idempotent).
@@ -169,21 +175,22 @@ class Experiment {
 
   /// Sweep variants of the three perturbation evaluations. Each hydrates
   /// the memoized state (monitor, clean predictions, scaled test input)
-  /// once, then evaluates the sweep points in parallel on the shared pool,
-  /// every point predicting on the one const monitor. The FGSM and black-box
-  /// sweeps compute their ε-independent input gradient once per curve,
-  /// before the fan-out (the black-box one on the memoized substitute), and
-  /// skip it when every point resumes from the checkpoint store.
-  /// Results are bit-identical to calling the pointwise methods in a loop:
-  /// inference reads only the weights, and each point re-derives the same
-  /// RNG stream the pointwise method would use.
+  /// once and hands run_checkpointed_sweep only its point's scaled,
+  /// perturbed input; every point predicts on the one const monitor. The
+  /// FGSM and black-box sweeps compute their ε-independent input gradient
+  /// once per curve, before the fan-out (the black-box one on the memoized
+  /// substitute), and skip it when every point resumes from the checkpoint
+  /// store. Results are bit-identical to calling the pointwise methods in a
+  /// loop: inference rows are independent, and each point re-derives the
+  /// same whole RNG stream the pointwise method would use.
   ///
   /// With a checkpoint store attached the sweeps are resumable: every
   /// completed point is persisted, already-stored points are reused instead
   /// of recomputed, and — because points are independent and re-derive
   /// their RNG streams — a killed-and-resumed campaign produces the same
-  /// bytes as an uninterrupted one. Point bodies are retried on transient
-  /// faults (util::RetryPolicy) and poll the cooperative deadline watchdog.
+  /// bytes as an uninterrupted one. Building a point's input is retried on
+  /// transient faults (util::RetryPolicy) and polls the cooperative
+  /// deadline watchdog.
   std::vector<EvalResult> evaluate_under_gaussian_sweep(
       const MonitorVariant& variant, std::span<const double> sigma_factors,
       std::uint64_t noise_seed = 1234);
@@ -234,14 +241,19 @@ class Experiment {
       const MonitorVariant& variant);
   void snapshot_model(const MonitorVariant& variant,
                       const monitor::MlMonitor& mon);
-  /// Shared engine of the three sweeps: checkpoint prefill, then
-  /// `prepare` (may be empty) once if any point is missing, then parallel
-  /// fan-out with retry + chaos seam + deadline polling, checkpoint put.
+  /// Shared engine of the three sweeps. After the checkpoint prefill, and
+  /// only if some point is missing, it runs `prepare` (may be empty) once,
+  /// then three phases on the shared pool:
+  ///   1. one task per missing point builds `scaled_input(i)`, under the
+  ///      retry + chaos seam (`sweep.point`) and deadline polling;
+  ///   2. one flat fan-out over every (point, kSweepChunkRows-row chunk)
+  ///      predicts on the const monitor into that point's predictions;
+  ///   3. each point's metrics, then its checkpoint put.
   std::vector<EvalResult> run_checkpointed_sweep(
       const char* kind, const MonitorVariant& variant,
       std::span<const double> params, std::uint64_t extra,
       const std::function<void()>& prepare,
-      const std::function<EvalResult(int)>& compute_point);
+      const std::function<nn::Tensor3(int)>& scaled_input);
 
   ExperimentConfig config_;
   CheckpointStore* checkpoint_store_ = nullptr;

@@ -260,7 +260,19 @@ bool run_model(const std::string& input) {
   // errors only: the container parser validates neither the meta JSON nor
   // whether the scaler and tensors fit the model the meta describes.
   accepts("parse_model_meta", [&] { (void)registry::parse_model_meta(art); });
-  accepts("load_monitor", [&] { (void)registry::load_monitor(art); });
+  // load_monitor rejects with the ModelFormatError registry callers catch,
+  // from its declared-shape check, before it builds the classifier.
+  accepts("load_monitor", [&] {
+    try {
+      (void)registry::load_monitor(art);
+    } catch (const registry::ModelFormatError&) {
+      throw;
+    } catch (const std::exception& e) {
+      throw InvariantViolation(
+          std::string("load_monitor: rejected without ModelFormatError: ") +
+          e.what());
+    }
+  });
   return true;
 }
 

@@ -1,5 +1,7 @@
 #include "registry/model_io.h"
 
+#include <cstdint>
+#include <span>
 #include <sstream>
 #include <utility>
 
@@ -24,6 +26,73 @@ std::string str_member(const util::Json& j, const char* key) {
   const util::Json& v = member(j, key);
   if (!v.is_string()) reject_meta(std::string("key \"") + key + "\" is not a string");
   return v.as_str();
+}
+
+// One parameter of the classifier an artifact declares, in params() order.
+struct ParamShape {
+  const char* name;
+  std::int64_t rows;
+  std::int64_t cols;
+};
+
+// The parameters MlMonitor would build for this arch, window and feature
+// count and these hidden sizes (two classes), mirroring the Dense, LSTM and
+// GRU layer layouts. 64-bit sizes: the declared ones are not yet trusted.
+std::vector<ParamShape> declared_params(const ArtifactInfo& info,
+                                        const std::vector<int>& hidden) {
+  std::vector<ParamShape> out;
+  const auto dense = [&](std::int64_t in, std::int64_t units) {
+    out.push_back({"W", in, units});
+    out.push_back({"b", 1, units});
+  };
+  std::int64_t in = info.features;
+  if (info.arch == monitor::Arch::kMlp) in *= info.window;
+  for (const std::int64_t h : hidden) {
+    switch (info.arch) {
+      case monitor::Arch::kMlp:
+        dense(in, h);
+        break;
+      case monitor::Arch::kLstm:
+        out.insert(out.end(),
+                   {{"Wx", in, 4 * h}, {"Wh", h, 4 * h}, {"b", 1, 4 * h}});
+        break;
+      case monitor::Arch::kGru:
+        out.insert(out.end(), {{"Wx", in, 3 * h},
+                               {"Wh", h, 3 * h},
+                               {"bx", 1, 3 * h},
+                               {"bh", 1, 3 * h}});
+        break;
+    }
+    in = h;
+  }
+  dense(in, 2);
+  return out;
+}
+
+std::string shape_str(const std::string& name, std::int64_t rows,
+                      std::int64_t cols) {
+  return "'" + name + "' " + std::to_string(rows) + "x" + std::to_string(cols);
+}
+
+void check_declared_shapes(const ArtifactInfo& info,
+                           const std::vector<int>& hidden,
+                           std::span<const nn::NamedTensor> tensors) {
+  const std::vector<ParamShape> want = declared_params(info, hidden);
+  if (tensors.size() != want.size()) {
+    throw ModelFormatError("model artifact: the declared classifier has " +
+                           std::to_string(want.size()) + " tensors, the file " +
+                           std::to_string(tensors.size()));
+  }
+  for (std::size_t i = 0; i < want.size(); ++i) {
+    const nn::NamedTensor& t = tensors[i];
+    const ParamShape& w = want[i];
+    if (t.name != w.name || t.rows != w.rows || t.cols != w.cols) {
+      throw ModelFormatError("model artifact: tensor " + std::to_string(i) +
+                             " is " + shape_str(t.name, t.rows, t.cols) +
+                             ", the declared classifier needs " +
+                             shape_str(w.name, w.rows, w.cols));
+    }
+  }
 }
 
 }  // namespace
@@ -102,6 +171,7 @@ std::unique_ptr<monitor::MlMonitor> load_monitor(const ModelArtifact& art) {
   mc.arch = art.info().arch;
   mc.semantic = meta.semantic;
   mc.hidden = meta.hidden;
+  check_declared_shapes(art.info(), mc.effective_hidden(), art.tensors());
   auto mon = std::make_unique<monitor::MlMonitor>(mc);
   std::istringstream scaler{std::string(art.scaler_bytes())};
   try {

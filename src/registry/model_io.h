@@ -35,8 +35,10 @@ ModelMeta parse_model_meta(const ModelArtifact& art);
 
 /// Reconstruct the monitor: the scaler loads from the scaler section and
 /// every weight is copied out of the blob section, so the monitor outlives
-/// `art`. A bad scaler section throws ModelFormatError; tensors whose
-/// names, count or shapes disagree with the meta throw CpsError.
+/// `art`. Throws ModelFormatError for a bad scaler section, and for tensors
+/// whose names, count or shapes disagree with the classifier the header
+/// and meta declare. That check runs before the classifier is built, so
+/// declared layer sizes never allocate more than the file's own tensors.
 std::unique_ptr<monitor::MlMonitor> load_monitor(const ModelArtifact& art);
 
 }  // namespace cpsguard::registry

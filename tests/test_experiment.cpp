@@ -6,11 +6,13 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "util/contracts.h"
+#include "util/thread_pool.h"
 
 namespace cpsguard::core {
 namespace {
@@ -215,22 +217,6 @@ TEST(MonitorConfigSeeds, DistinctPerArchAndHistoricallyStable) {
   }
 }
 
-// The parallel sweep APIs must reproduce the pointwise evaluations exactly
-// (identical confusion counts and robustness errors, point by point).
-TEST_F(ExperimentTest, GaussianSweepMatchesPointwise) {
-  const std::vector<double> sigmas = {0.25, 1.0};
-  const auto sweep = exp_.evaluate_under_gaussian_sweep(mlp_, sigmas);
-  ASSERT_EQ(sweep.size(), sigmas.size());
-  for (std::size_t i = 0; i < sigmas.size(); ++i) {
-    const auto point = exp_.evaluate_under_gaussian(mlp_, sigmas[i]);
-    EXPECT_EQ(sweep[i].confusion.tp, point.confusion.tp) << "sigma " << sigmas[i];
-    EXPECT_EQ(sweep[i].confusion.fp, point.confusion.fp) << "sigma " << sigmas[i];
-    EXPECT_EQ(sweep[i].confusion.fn, point.confusion.fn) << "sigma " << sigmas[i];
-    EXPECT_EQ(sweep[i].confusion.tn, point.confusion.tn) << "sigma " << sigmas[i];
-    EXPECT_DOUBLE_EQ(sweep[i].robustness_err, point.robustness_err);
-  }
-}
-
 void expect_same_results(const std::vector<EvalResult>& sweep,
                          const std::vector<EvalResult>& points,
                          const std::string& what) {
@@ -240,8 +226,46 @@ void expect_same_results(const std::vector<EvalResult>& sweep,
     EXPECT_EQ(sweep[i].confusion.fp, points[i].confusion.fp) << what << " point " << i;
     EXPECT_EQ(sweep[i].confusion.fn, points[i].confusion.fn) << what << " point " << i;
     EXPECT_EQ(sweep[i].confusion.tn, points[i].confusion.tn) << what << " point " << i;
-    EXPECT_DOUBLE_EQ(sweep[i].robustness_err, points[i].robustness_err)
+    EXPECT_EQ(sweep[i].robustness_err, points[i].robustness_err)
         << what << " point " << i;
+  }
+}
+
+/// A sweep must give the same results on the pool, fully serially (one
+/// thread) and as a loop over the pointwise method.
+void expect_sweep_matches(const std::function<std::vector<EvalResult>()>& sweep,
+                          const std::function<EvalResult(std::size_t)>& point,
+                          const std::string& what) {
+  const std::size_t saved = util::max_parallelism();
+  util::set_max_parallelism(1);
+  const std::vector<EvalResult> serial = sweep();
+  util::set_max_parallelism(saved);
+  const std::vector<EvalResult> pooled = sweep();
+  expect_same_results(pooled, serial, what + " pooled vs serial");
+  std::vector<EvalResult> points;
+  for (std::size_t i = 0; i < pooled.size(); ++i) points.push_back(point(i));
+  expect_same_results(pooled, points, what + " sweep vs pointwise");
+}
+
+// The sweep engine predicts each point in kSweepChunkRows-row chunks; the
+// fixture must exercise several chunks and a short tail for the sweep tests
+// below to cover the chunk stitching.
+TEST_F(ExperimentTest, TestSetSpansSeveralSweepChunksWithATail) {
+  const int rows = exp_.test_data().size();
+  EXPECT_GT(rows, Experiment::kSweepChunkRows);
+  EXPECT_NE(rows % Experiment::kSweepChunkRows, 0);
+}
+
+TEST_F(ExperimentTest, GaussianSweepMatchesPointwise) {
+  const std::vector<double> sigmas = {0.25, 1.0};
+  const MonitorVariant lstm{monitor::Arch::kLstm, false};
+  for (const MonitorVariant& v : {mlp_, lstm}) {
+    expect_sweep_matches(
+        [&] { return exp_.evaluate_under_gaussian_sweep(v, sigmas); },
+        [&](std::size_t i) {
+          return exp_.evaluate_under_gaussian(v, sigmas[i]);
+        },
+        v.name());
   }
 }
 
@@ -254,23 +278,23 @@ TEST_F(ExperimentTest, FgsmSweepMatchesPointwise) {
   for (const auto& [variant, epsilons] :
        {std::pair{mlp_, std::vector<double>{0.05, 0.2}},
         std::pair{lstm, fig9_epsilons}}) {
-    const auto sweep = exp_.evaluate_under_fgsm_sweep(variant, epsilons);
-    std::vector<EvalResult> points;
-    for (const double eps : epsilons) {
-      points.push_back(exp_.evaluate_under_fgsm(variant, eps));
-    }
-    expect_same_results(sweep, points, variant.name());
+    expect_sweep_matches(
+        [&] { return exp_.evaluate_under_fgsm_sweep(variant, epsilons); },
+        [&](std::size_t i) {
+          return exp_.evaluate_under_fgsm(variant, epsilons[i]);
+        },
+        variant.name());
   }
 }
 
 TEST_F(ExperimentTest, BlackboxSweepMatchesPointwise) {
   const std::vector<double> epsilons = {0.05, 0.1, 0.2};
-  const auto sweep = exp_.evaluate_under_blackbox_sweep(mlp_, epsilons);
-  std::vector<EvalResult> points;
-  for (const double eps : epsilons) {
-    points.push_back(exp_.evaluate_under_blackbox(mlp_, eps));
-  }
-  expect_same_results(sweep, points, mlp_.name());
+  expect_sweep_matches(
+      [&] { return exp_.evaluate_under_blackbox_sweep(mlp_, epsilons); },
+      [&](std::size_t i) {
+        return exp_.evaluate_under_blackbox(mlp_, epsilons[i]);
+      },
+      mlp_.name());
 }
 
 TEST(ExperimentTrainAll, HydratesAllVariants) {

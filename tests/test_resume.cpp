@@ -261,6 +261,49 @@ TEST_F(ResumeTest, FullyResumedFgsmSweepComputesNoGradient) {
   EXPECT_EQ(resumed.stats().puts, 0u);
 }
 
+// One transient chaos fault per sweep point: the point's input is rebuilt
+// on the retry, and the curve is byte-identical to a fault-free one.
+TEST_F(ResumeTest, OneShotPointFaultIsRetriedToTheSameBytes) {
+  util::ChaosConfig cfg;
+  cfg.enabled = true;
+  cfg.seed = 99;
+  cfg.task_throw_rate = 1.0;  // fires once per (seam, key), then never again
+  const std::vector<core::EvalResult>& fault_free = baseline();
+  util::chaos().configure(cfg);
+  const obs::Counter& recovered =
+      obs::Registry::instance().counter("retry.recovered");
+  core::Experiment exp(mini_config());
+  exp.monitor(kVariant);
+  const std::uint64_t before = recovered.value();
+  expect_bit_identical(exp.evaluate_under_gaussian_sweep(kVariant, sigmas()),
+                       fault_free);
+  EXPECT_EQ(recovered.value() - before, sigmas().size());
+}
+
+// A resume that finds some points in the store predicts only the others.
+TEST_F(ResumeTest, PartialResumePredictsOnlyMissingPoints) {
+  const obs::Counter& predicted =
+      obs::Registry::instance().counter("experiment.sweep_windows_predicted");
+  const std::vector<core::EvalResult>& straight = baseline();
+  {
+    core::CheckpointStore store(dir_);
+    core::Experiment exp(mini_config());
+    exp.set_checkpoint_store(&store);
+    exp.evaluate_under_gaussian_sweep(kVariant, {sigmas().data(), 1});
+  }
+  core::CheckpointStore resumed(dir_);
+  core::Experiment exp(mini_config());
+  exp.set_checkpoint_store(&resumed);
+  exp.monitor(kVariant);
+  const std::uint64_t before = predicted.value();
+  expect_bit_identical(exp.evaluate_under_gaussian_sweep(kVariant, sigmas()),
+                       straight);
+  EXPECT_EQ(predicted.value() - before,
+            static_cast<std::uint64_t>(exp.test_data().size()) *
+                (sigmas().size() - 1));
+  EXPECT_EQ(resumed.stats().puts, sigmas().size() - 1);
+}
+
 TEST_F(ResumeTest, ChaosRunIsByteIdenticalAndResumable) {
   util::ChaosConfig cfg;
   cfg.enabled = true;
