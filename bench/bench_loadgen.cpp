@@ -16,7 +16,6 @@
 //   --shards N      engine shards (0 = thread count)     (default 0)
 //   --batch N       engine micro-batch rows              (default 64)
 //   --queue N       per-shard queue capacity (0 = auto)  (default 0)
-//   --deterministic B  serial shard flushes              (default false)
 #include <algorithm>
 #include <cstdio>
 
@@ -38,7 +37,6 @@ int main(int argc, char** argv) {
   const int ttl = cli.get_int("ttl", 8);
   const double abandon = cli.get_double("abandon", 0.2);
   const double reconnect = cli.get_double("reconnect", 0.25);
-  const bool deterministic = cli.get_bool("deterministic", false);
   const int threads = static_cast<int>(util::effective_parallelism());
   const int shards = cli.get_int("shards", 0) > 0 ? cli.get_int("shards", 0)
                                                   : threads;
@@ -76,7 +74,6 @@ int main(int argc, char** argv) {
   cfg.engine.shards = shards;
   cfg.engine.max_batch = batch;
   cfg.engine.queue_capacity = queue;
-  cfg.engine.deterministic = deterministic;
   cfg.engine.idle_ttl_ticks = ttl;
   cfg.ticks = ticks;
   cfg.seed = exp.config().campaign.seed;
@@ -92,7 +89,6 @@ int main(int argc, char** argv) {
   run.manifest().set_param("shards", static_cast<long long>(shards));
   run.manifest().set_param("batch", static_cast<long long>(batch));
   run.manifest().set_param("queue_capacity", static_cast<long long>(queue));
-  run.manifest().set_param("deterministic", deterministic ? 1LL : 0LL);
 
   // Invariants stay armed: a bench that would report throughput for a
   // stream violating verdict conservation aborts loudly instead.

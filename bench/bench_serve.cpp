@@ -19,7 +19,6 @@
 //   --cycles N        measured steady-state cycles       (default 40)
 //   --shards N        engine shards (0 = thread count)   (default 0)
 //   --batch N         engine micro-batch rows            (default 256)
-//   --deterministic B engine deterministic mode          (default false)
 //   --swap-every N    hot self-swap every N engine cycles (0 = off,
 //                     default 0) — measures steady-state cost of the
 //                     epoch-boundary swap protocol (one model copy per
@@ -60,7 +59,6 @@ int main(int argc, char** argv) {
 
   const int sessions = cli.get_int("sessions", 1000);
   const int cycles = cli.get_int("cycles", 40);
-  const bool deterministic = cli.get_bool("deterministic", false);
   const int threads = static_cast<int>(util::effective_parallelism());
   const int shards = cli.get_int("shards", 0) > 0 ? cli.get_int("shards", 0)
                                                   : threads;
@@ -70,7 +68,6 @@ int main(int argc, char** argv) {
   run.manifest().set_param("cycles", static_cast<long long>(cycles));
   run.manifest().set_param("shards", static_cast<long long>(shards));
   run.manifest().set_param("batch", static_cast<long long>(batch));
-  run.manifest().set_param("deterministic", deterministic ? 1LL : 0LL);
   run.manifest().set_param("swap_every", static_cast<long long>(swap_every));
 
   core::Experiment exp(run.config(sim::Testbed::kGlucosymOpenAps, cli));
@@ -126,7 +123,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- Engine: one ingest loop, tick per cycle, shard flushes fanned
-  // across the shared pool (serial in deterministic mode).
+  // across the shared pool (serial under --threads 1).
   long long engine_verdicts = 0;
   double engine_seconds = 0.0;
   {
@@ -136,7 +133,6 @@ int main(int argc, char** argv) {
     cfg.max_batch = batch;
     cfg.queue_capacity =
         std::max(2 * batch, 4 * (sessions / std::max(shards, 1) + 1));
-    cfg.deterministic = deterministic;
     run.manifest().set_param("queue_capacity",
                              static_cast<long long>(cfg.queue_capacity));
     serve::Engine engine(mon, cfg);
@@ -188,7 +184,7 @@ int main(int argc, char** argv) {
                std::to_string(base_verdicts),
                util::CsvWriter::num(base_seconds),
                util::CsvWriter::num(base_rate)});
-  csv.add_row({deterministic ? "engine_deterministic" : "engine",
+  csv.add_row({"engine",
                std::to_string(sessions), std::to_string(threads),
                std::to_string(shards), std::to_string(batch),
                std::to_string(cycles), std::to_string(engine_verdicts),
@@ -201,7 +197,7 @@ int main(int argc, char** argv) {
   table.add_row({"OnlineMonitor loop", std::to_string(base_verdicts),
                  util::Table::fixed(base_seconds, 3),
                  util::Table::fixed(base_rate, 0)});
-  table.add_row({deterministic ? "Engine (deterministic)" : "Engine",
+  table.add_row({"Engine",
                  std::to_string(engine_verdicts),
                  util::Table::fixed(engine_seconds, 3),
                  util::Table::fixed(engine_rate, 0)});

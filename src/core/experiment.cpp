@@ -12,8 +12,10 @@
 #include <sstream>
 
 #include "obs/events.h"
+#include "obs/fileio.h"
 #include "obs/sha256.h"
 #include "obs/span.h"
+#include "registry/model_io.h"
 #include "registry/registry.h"
 #include "util/chaos.h"
 #include "util/contracts.h"
@@ -47,6 +49,13 @@ std::uint64_t arch_seed_tag(monitor::Arch arch) {
   }
   return 0ULL;
 }
+
+// Bump whenever simulator/training behaviour or the persisted model format
+// changes in ways the config cannot see: it keys both the .monitor file
+// cache and config_fingerprint(), so stale cache files and checkpoint
+// records (sweep points and model snapshots) are never read back.
+// 4: cache files and snapshots are cpsguard.model.v1 artifacts.
+constexpr int kCacheSchemaVersion = 4;
 
 std::string hex_u64(std::uint64_t v) {
   char buf[17];
@@ -241,7 +250,8 @@ monitor::MonitorConfig Experiment::monitor_config(const MonitorVariant& v) const
 std::string Experiment::config_fingerprint() const {
   const auto& c = config_;
   std::ostringstream key;
-  key << kCheckpointSchema << '|' << sim::to_string(c.campaign.testbed) << '|'
+  key << kCheckpointSchema << "|v" << kCacheSchemaVersion << '|'
+      << sim::to_string(c.campaign.testbed) << '|'
       << c.campaign.patients << '|' << c.campaign.sims_per_patient << '|'
       << c.campaign.fault_fraction << '|' << c.campaign.trace_steps << '|'
       << c.campaign.seed << '|' << c.dataset.window << '|' << c.dataset.horizon
@@ -266,36 +276,7 @@ std::string Experiment::model_snapshot_key(const MonitorVariant& v) const {
   return "model|" + v.name() + '|' + config_fingerprint();
 }
 
-std::unique_ptr<monitor::MlMonitor> Experiment::try_load_snapshot(
-    const MonitorVariant& v) {
-  if (checkpoint_store_ == nullptr) return nullptr;
-  const auto payload = checkpoint_store_->get(model_snapshot_key(v));
-  if (!payload) return nullptr;
-  auto mon = std::make_unique<monitor::MlMonitor>(monitor_config(v));
-  try {
-    std::istringstream is(*payload);
-    mon->load(is, config_.dataset.window, monitor::Features::kNumFeatures);
-  } catch (const std::exception& e) {
-    util::log_warn("checkpoint snapshot load failed for ", v.name(), " (",
-                   e.what(), "), retraining");
-    return nullptr;
-  }
-  util::log_info("restored ", v.name(), " from checkpoint snapshot");
-  return mon;
-}
-
-void Experiment::snapshot_model(const MonitorVariant& v,
-                                const monitor::MlMonitor& mon) {
-  if (checkpoint_store_ == nullptr) return;
-  std::ostringstream os;
-  mon.save(os);
-  checkpoint_store_->put(model_snapshot_key(v), os.str());
-}
-
 std::string Experiment::cache_path(const MonitorVariant& v) const {
-  // Bump whenever simulator/training behaviour changes in ways the config
-  // hash cannot see (otherwise stale cached monitors would be reloaded).
-  constexpr int kCacheSchemaVersion = 3;
   std::ostringstream key;
   const auto& c = config_;
   key << 'v' << kCacheSchemaVersion << '|' << sim::to_string(c.campaign.testbed) << '|' << c.campaign.patients << '|'
@@ -321,43 +302,80 @@ std::uint64_t Experiment::publish_monitor(const MonitorVariant& variant,
                           config_fingerprint());
 }
 
+std::unique_ptr<monitor::MlMonitor> Experiment::hydrate(
+    const MonitorVariant& v) {
+  // Both sources hold a cpsguard.model.v1 artifact: whole-file SHA-256,
+  // then the declared-shape check against this variant's config. Any
+  // failure falls through to the next source, then to retraining.
+  const auto restore = [&](const char* source, auto&& open_artifact)
+      -> std::unique_ptr<monitor::MlMonitor> {
+    try {
+      const registry::ModelArtifact art = open_artifact();
+      if (art.info().window != config_.dataset.window ||
+          art.info().features != monitor::Features::kNumFeatures) {
+        throw registry::ModelFormatError(
+            "model artifact: window or feature count is not this campaign's");
+      }
+      auto mon = registry::load_monitor(art, monitor_config(v));
+      util::log_info("restored ", v.name(), " from ", source);
+      return mon;
+    } catch (const std::exception& e) {
+      util::log_warn(source, " load failed for ", v.name(), " (", e.what(),
+                     "), retraining");
+      return nullptr;
+    }
+  };
+  if (!config_.cache_dir.empty()) {
+    const std::string path = cache_path(v);
+    if (std::filesystem::exists(path)) {
+      if (auto mon = restore("cache file",
+                             [&] { return registry::ModelArtifact::open(path); })) {
+        return mon;
+      }
+    }
+  }
+  // File cache missed; a checkpoint snapshot (from a killed run of this
+  // same configuration) is the next-cheapest source before retraining.
+  if (checkpoint_store_ != nullptr) {
+    if (const auto payload = checkpoint_store_->get(model_snapshot_key(v))) {
+      return restore("checkpoint snapshot",
+                     [&] { return registry::ModelArtifact::parse(*payload); });
+    }
+  }
+  return nullptr;
+}
+
+void Experiment::persist(const MonitorVariant& v, monitor::MlMonitor& mon) {
+  if (config_.cache_dir.empty() && checkpoint_store_ == nullptr) return;
+  registry::ModelMeta meta;
+  meta.config_fingerprint = config_fingerprint();
+  meta.display_name = v.name();
+  meta.semantic = mon.config().semantic;
+  meta.hidden = mon.config().effective_hidden();
+  const std::string bytes = registry::build_model_artifact(mon, meta);
+  if (!config_.cache_dir.empty()) {
+    std::filesystem::create_directories(config_.cache_dir);
+    const std::string path = cache_path(v);
+    util::retry_call(util::RetryPolicy::for_file_io(), "experiment.cache",
+                     [&] { obs::atomic_write_file(path, bytes); });
+  }
+  if (checkpoint_store_ != nullptr) {
+    checkpoint_store_->put(model_snapshot_key(v), bytes);
+  }
+}
+
 monitor::MlMonitor& Experiment::monitor(const MonitorVariant& v) {
   prepare();
   const std::string key = v.name();
   const auto it = monitors_.find(key);
   if (it != monitors_.end()) return *it->second;
 
-  auto mon = std::make_unique<monitor::MlMonitor>(monitor_config(v));
-  bool loaded = false;
-  if (!config_.cache_dir.empty()) {
-    const std::string path = cache_path(v);
-    if (std::filesystem::exists(path)) {
-      try {
-        mon->load(path, config_.dataset.window, monitor::Features::kNumFeatures);
-        loaded = true;
-        util::log_info("loaded ", key, " from cache: ", path);
-      } catch (const std::exception& e) {
-        util::log_warn("cache load failed for ", key, " (", e.what(),
-                       "), retraining");
-      }
-    }
-  }
-  if (!loaded) {
-    // File cache missed; a checkpoint snapshot (from a killed run of this
-    // same configuration) is the next-cheapest source before retraining.
-    if (auto snap = try_load_snapshot(v)) {
-      mon = std::move(snap);
-      loaded = true;
-    }
-  }
-  if (!loaded) {
+  auto mon = hydrate(v);
+  if (!mon) {
+    mon = std::make_unique<monitor::MlMonitor>(monitor_config(v));
     util::log_info("training ", key, " on ", data_->train.size(), " windows");
     mon->train(data_->train);
-    if (!config_.cache_dir.empty()) {
-      std::filesystem::create_directories(config_.cache_dir);
-      mon->save(cache_path(v));
-    }
-    snapshot_model(v, *mon);
+    persist(v, *mon);
   }
   auto [ins, _] = monitors_.emplace(key, std::move(mon));
   return *ins->second;
@@ -366,40 +384,27 @@ monitor::MlMonitor& Experiment::monitor(const MonitorVariant& v) {
 void Experiment::train_all() {
   prepare();
   const obs::ScopedSpan span("train.all");
-  const auto variants = all_variants();
   // monitor() mutates shared maps; hydrate sequentially but train the
-  // heavy part in parallel by pre-constructing monitors that miss the cache.
-  std::vector<const MonitorVariant*> missing;
-  for (const auto& v : variants) {
+  // heavy part in parallel by pre-constructing monitors that miss.
+  std::vector<MonitorVariant> missing;
+  for (const auto& v : all_variants()) {
     if (monitors_.contains(v.name())) continue;
-    if (!config_.cache_dir.empty() &&
-        std::filesystem::exists(cache_path(v))) {
-      continue;  // monitor(v) below hydrates from the file cache
-    }
-    if (auto snap = try_load_snapshot(v)) {
-      monitors_.emplace(v.name(), std::move(snap));
-      continue;
-    }
-    missing.push_back(&v);
-  }
-  if (!missing.empty()) {
-    std::vector<std::unique_ptr<monitor::MlMonitor>> fresh(missing.size());
-    util::parallel_for(static_cast<int>(missing.size()), [&](int i) {
-      auto mon = std::make_unique<monitor::MlMonitor>(
-          monitor_config(*missing[static_cast<std::size_t>(i)]));
-      mon->train(data_->train);
-      fresh[static_cast<std::size_t>(i)] = std::move(mon);
-    });
-    for (std::size_t i = 0; i < missing.size(); ++i) {
-      if (!config_.cache_dir.empty()) {
-        std::filesystem::create_directories(config_.cache_dir);
-        fresh[i]->save(cache_path(*missing[i]));
-      }
-      snapshot_model(*missing[i], *fresh[i]);
-      monitors_.emplace(missing[i]->name(), std::move(fresh[i]));
+    if (auto mon = hydrate(v)) {
+      monitors_.emplace(v.name(), std::move(mon));
+    } else {
+      missing.push_back(v);
     }
   }
-  for (const auto& v : variants) monitor(v);  // hydrate cache hits
+  std::vector<std::unique_ptr<monitor::MlMonitor>> fresh(missing.size());
+  util::parallel_for(static_cast<int>(missing.size()), [&](int i) {
+    const auto at = static_cast<std::size_t>(i);
+    fresh[at] = std::make_unique<monitor::MlMonitor>(monitor_config(missing[at]));
+    fresh[at]->train(data_->train);
+  });
+  for (std::size_t i = 0; i < missing.size(); ++i) {
+    persist(missing[i], *fresh[i]);
+    monitors_.emplace(missing[i].name(), std::move(fresh[i]));
+  }
 }
 
 safety::RuleBasedMonitor& Experiment::rule_monitor() {

@@ -237,10 +237,14 @@ class Experiment {
   std::string sweep_point_key(const char* kind, const MonitorVariant& variant,
                               double param, std::uint64_t extra) const;
   std::string model_snapshot_key(const MonitorVariant& variant) const;
-  std::unique_ptr<monitor::MlMonitor> try_load_snapshot(
-      const MonitorVariant& variant);
-  void snapshot_model(const MonitorVariant& variant,
-                      const monitor::MlMonitor& mon);
+  /// The variant's monitor from the file cache, else from a checkpoint
+  /// snapshot, else null. Either source is a model artifact that must
+  /// verify and match monitor_config(variant); one that does not is
+  /// logged and skipped.
+  std::unique_ptr<monitor::MlMonitor> hydrate(const MonitorVariant& variant);
+  /// Write a freshly trained monitor, as one model artifact, to the file
+  /// cache and the checkpoint store (each if configured).
+  void persist(const MonitorVariant& variant, monitor::MlMonitor& mon);
   /// Shared engine of the three sweeps. After the checkpoint prefill, and
   /// only if some point is missing, it runs `prepare` (may be empty) once,
   /// then three phases on the shared pool:

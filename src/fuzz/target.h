@@ -46,8 +46,7 @@ struct FuzzTarget {
   std::function<bool(const std::string&)> run;
 };
 
-/// All registered targets: stl, config, csv, json, checkpoint, serialize,
-/// model, cli.
+/// All registered targets: stl, config, csv, json, checkpoint, model, cli.
 const std::vector<FuzzTarget>& all_targets();
 
 /// Lookup by name; nullptr if unknown.

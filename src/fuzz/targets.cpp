@@ -8,8 +8,6 @@
 
 #include "core/checkpoint.h"
 #include "obs/sha256.h"
-#include "nn/layer.h"
-#include "nn/serialize.h"
 #include "registry/artifact.h"
 #include "registry/model_io.h"
 #include "safety/stl_parser.h"
@@ -184,33 +182,6 @@ bool run_checkpoint(const std::string& input) {
   return got.has_value();
 }
 
-// ---- serialize ------------------------------------------------------------
-
-// Fixed tiny param set; rebuilt per call because load_params writes into it.
-std::vector<nn::Param> make_params() {
-  std::vector<nn::Param> params;
-  params.emplace_back("w1", nn::Matrix::full(3, 4, 0.5f));
-  params.emplace_back("b1", nn::Matrix::full(1, 4, -0.25f));
-  return params;
-}
-
-std::string serialized_seed() {
-  auto params = make_params();
-  std::vector<nn::Param*> ptrs;
-  for (auto& p : params) ptrs.push_back(&p);
-  std::ostringstream os;
-  nn::save_params(os, ptrs);
-  return os.str();
-}
-
-bool run_serialize(const std::string& input) {
-  auto params = make_params();
-  std::vector<nn::Param*> ptrs;
-  for (auto& p : params) ptrs.push_back(&p);
-  std::istringstream is(input);
-  return accepts("load_params", [&] { nn::load_params(is, ptrs); });
-}
-
 // ---- model ----------------------------------------------------------------
 
 // A tiny but fully valid cpsguard.model.v1 artifact, built through the
@@ -342,14 +313,6 @@ std::vector<FuzzTarget> build_targets() {
       {"cpsguard.checkpoint.v1", "key=", "bytes=", "sha256=", "\n", "\n\n",
        "fuzz-key", "0", "22", "-22", "22x", "99999999999999999999"},
       run_checkpoint});
-
-  targets.push_back(FuzzTarget{
-      "serialize",
-      {serialized_seed()},
-      {"CPSG", std::string("\x01\x00\x00\x00", 4),
-       std::string("\xff\xff\xff\xff", 4), std::string("\x00\x00\x00\x00", 4),
-       "w1", "b1"},
-      run_serialize});
 
   targets.push_back(FuzzTarget{
       "model",

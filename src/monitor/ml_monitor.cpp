@@ -1,6 +1,6 @@
 #include "monitor/ml_monitor.h"
 
-#include <fstream>
+#include <istream>
 
 #include "nn/gru_classifier.h"
 #include "nn/lstm_classifier.h"
@@ -179,19 +179,6 @@ const nn::Classifier& MlMonitor::classifier() const {
   return *clf_;
 }
 
-void MlMonitor::save(const std::string& path) const {
-  std::ofstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open monitor file for writing: " + path);
-  save(f);
-}
-
-void MlMonitor::save(std::ostream& os) const {
-  expects(trained(), "monitor not trained");
-  scaler_.save(os);
-  const auto ps = clf_->params();
-  nn::save_params(os, ps);
-}
-
 std::unique_ptr<MlMonitor> MlMonitor::clone() const {
   expects(trained(), "monitor not trained");
   auto out = std::make_unique<MlMonitor>(config_);
@@ -205,19 +192,6 @@ std::unique_ptr<MlMonitor> MlMonitor::clone() const {
                                {v.data().begin(), v.data().end()});
   }
   return out;
-}
-
-void MlMonitor::load(const std::string& path, int window, int features) {
-  std::ifstream f(path, std::ios::binary);
-  if (!f) throw std::runtime_error("cannot open monitor file for reading: " + path);
-  load(f, window, features);
-}
-
-void MlMonitor::load(std::istream& is, int window, int features) {
-  scaler_.load(is);
-  build_classifier(window, features);
-  const auto ps = clf_->params();
-  nn::load_params(is, ps);
 }
 
 void MlMonitor::bind(std::istream& scaler_stream, int window, int features,

@@ -84,19 +84,11 @@ class MlMonitor {
   [[nodiscard]] nn::Classifier& classifier();
   [[nodiscard]] const nn::Classifier& classifier() const;
 
-  /// Persist / restore (scaler + weights). The config must match at load.
-  void save(const std::string& path) const;
-  void load(const std::string& path, int window, int features);
-
-  /// Stream forms, for embedding snapshots in checkpoint records (see
-  /// core::CheckpointStore) instead of loose cache files.
-  void save(std::ostream& os) const;
-  void load(std::istream& is, int window, int features);
-
-  /// Restore from a parsed model artifact: the scaler loads from a byte
-  /// stream and every weight is copied into the monitor's own storage
-  /// (nn::bind_params checks names, order and shapes). The monitor keeps
-  /// no pointer into `weights`.
+  /// Restore from a parsed model artifact, the one persisted form
+  /// (registry::load_monitor calls this; registry::build_model_artifact
+  /// writes it): the scaler loads from a byte stream and every weight is
+  /// copied into the monitor's own storage (nn::bind_params checks names,
+  /// order and shapes). The monitor keeps no pointer into `weights`.
   void bind(std::istream& scaler_stream, int window, int features,
             std::span<const nn::NamedTensor> weights);
 

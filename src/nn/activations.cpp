@@ -183,48 +183,4 @@ Matrix Relu::backward(const Matrix& dy) {
   return dx;
 }
 
-Matrix Tanh::infer(const Matrix& x) const {
-  expects(x.cols() == size_, "Tanh: width mismatch");
-  Matrix y = x;
-  tanh_rows(y.data(), y.data());
-  return y;
-}
-
-Matrix Tanh::forward(const Matrix& x) {
-  cached_output_ = infer(x);
-  return cached_output_;
-}
-
-Matrix Tanh::backward(const Matrix& dy) {
-  expects(dy.rows() == cached_output_.rows() && dy.cols() == cached_output_.cols(),
-          "Tanh: backward shape mismatch");
-  Matrix dx = dy;
-  const auto y = cached_output_.data();
-  auto g = dx.data();
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= dtanh_from_y(y[i]);
-  return dx;
-}
-
-Matrix Sigmoid::infer(const Matrix& x) const {
-  expects(x.cols() == size_, "Sigmoid: width mismatch");
-  Matrix y = x;
-  sigmoid_rows(y.data(), y.data());
-  return y;
-}
-
-Matrix Sigmoid::forward(const Matrix& x) {
-  cached_output_ = infer(x);
-  return cached_output_;
-}
-
-Matrix Sigmoid::backward(const Matrix& dy) {
-  expects(dy.rows() == cached_output_.rows() && dy.cols() == cached_output_.cols(),
-          "Sigmoid: backward shape mismatch");
-  Matrix dx = dy;
-  const auto y = cached_output_.data();
-  auto g = dx.data();
-  for (std::size_t i = 0; i < g.size(); ++i) g[i] *= dsigmoid_from_y(y[i]);
-  return dx;
-}
-
 }  // namespace cpsguard::nn

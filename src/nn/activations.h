@@ -1,5 +1,5 @@
-// Element-wise activation layers and the scalar functions they share with the
-// recurrent cells.
+// The ReLU layer and the sigmoid/tanh nonlinearities of the recurrent cells
+// (scalar, and over whole rows).
 //
 // The nonlinearities are repo-owned ports, not calls into the host's libm, so
 // every host computes the same bits: expf_port is glibc 2.36's expf (the
@@ -36,40 +36,6 @@ class Relu : public Layer {
   Matrix backward(const Matrix& dy) override;
 
   [[nodiscard]] std::string name() const override { return "ReLU"; }
-  [[nodiscard]] int input_size() const override { return size_; }
-  [[nodiscard]] int output_size() const override { return size_; }
-
- private:
-  int size_;
-  Matrix cached_output_;
-};
-
-class Tanh : public Layer {
- public:
-  explicit Tanh(int size) : size_(size) {}
-
-  [[nodiscard]] Matrix infer(const Matrix& x) const override;
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& dy) override;
-
-  [[nodiscard]] std::string name() const override { return "Tanh"; }
-  [[nodiscard]] int input_size() const override { return size_; }
-  [[nodiscard]] int output_size() const override { return size_; }
-
- private:
-  int size_;
-  Matrix cached_output_;
-};
-
-class Sigmoid : public Layer {
- public:
-  explicit Sigmoid(int size) : size_(size) {}
-
-  [[nodiscard]] Matrix infer(const Matrix& x) const override;
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& dy) override;
-
-  [[nodiscard]] std::string name() const override { return "Sigmoid"; }
   [[nodiscard]] int input_size() const override { return size_; }
   [[nodiscard]] int output_size() const override { return size_; }
 

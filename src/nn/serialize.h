@@ -1,24 +1,14 @@
-// Binary serialization of model parameters. Used by the experiment cache so
-// repeated bench runs skip retraining, and to ship trained monitors.
-//
-// Format: magic "CPSG", u32 version, u32 param count, then for each param:
-// u32 name length + bytes, u32 rows, u32 cols, rows*cols little-endian f32.
+// Named weight tensors: the bridge between a classifier's params and the
+// cpsguard.model.v1 artifact (registry/artifact.h), the one on-disk model
+// format for the registry, the experiment cache and checkpoint snapshots.
 #pragma once
 
-#include <iosfwd>
 #include <span>
 #include <string>
 
 #include "nn/classifier.h"
 
 namespace cpsguard::nn {
-
-void save_params(std::ostream& os, std::span<Param* const> params);
-
-/// Load into existing params: names, order and shapes must match what was
-/// saved. Throws CpsError on any mismatch or truncated stream; hostile
-/// headers (e.g. a 4 GiB name length) are rejected before any allocation.
-void load_params(std::istream& is, std::span<Param* const> params);
 
 /// One named row-major tensor over storage someone else owns: a param
 /// handed to the model-artifact writer, or a blob of a parsed artifact.

@@ -1,19 +1,30 @@
-// SHA-256 (FIPS 180-4) for fingerprinting bench outputs in run manifests.
-// Self-contained so the manifest layer has no external dependencies; this is
-// an integrity/drift check, not a security boundary.
+// SHA-256 (FIPS 180-4) for model artifacts, checkpoint records, run-manifest
+// output hashes and the stream oracles. Backed by libcrypto's EVP SHA-256
+// (SHA-NI where the CPU has it); OpenSSL stays out of this header, so
+// callers neither include nor link it themselves. An integrity/drift
+// check, not a security boundary.
 #pragma once
 
 #include <array>
 #include <cstddef>
 #include <cstdint>
+#include <memory>
 #include <string>
+
+struct evp_md_ctx_st;  // OpenSSL's EVP_MD_CTX
 
 namespace cpsguard::obs {
 
-/// Incremental SHA-256 context.
+/// Incremental SHA-256 context. Copying it copies the running state, so a
+/// shared prefix is hashed once and finished two ways.
 class Sha256 {
  public:
   Sha256();
+  Sha256(const Sha256& other);
+  Sha256& operator=(const Sha256& other);
+  Sha256(Sha256&&) noexcept = default;
+  Sha256& operator=(Sha256&&) noexcept = default;
+  ~Sha256() = default;
 
   void update(const void* data, std::size_t len);
 
@@ -22,12 +33,10 @@ class Sha256 {
   [[nodiscard]] std::array<std::uint8_t, 32> digest();
 
  private:
-  void process_block(const std::uint8_t* block);
-
-  std::array<std::uint32_t, 8> state_;
-  std::uint64_t total_bytes_ = 0;
-  std::array<std::uint8_t, 64> buffer_;
-  std::size_t buffered_ = 0;
+  struct CtxFree {
+    void operator()(evp_md_ctx_st* ctx) const;
+  };
+  std::unique_ptr<evp_md_ctx_st, CtxFree> ctx_;
 };
 
 /// Lowercase hex of a finished digest.

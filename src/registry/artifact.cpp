@@ -248,7 +248,7 @@ void ModelArtifact::verify_and_index(const std::uint8_t* base,
     const std::uint32_t name_len = get_u32(base + cursor);
     cursor += 4;
     // Bound the length before trusting it — a 4 GiB name must die here,
-    // not in an allocation (same rule as nn/serialize).
+    // not in an allocation (corpus case model/name-len-alloc-bomb).
     require(name_len >= 1 && name_len <= kMaxNameLen,
             "implausible tensor name length");
     require(cursor + name_len + 8 + 16 <= dir_end, "directory truncated");

@@ -95,6 +95,24 @@ void check_declared_shapes(const ArtifactInfo& info,
   }
 }
 
+// Build `config`'s monitor and bind the artifact into it, after checking
+// the tensor directory against the classifier `config` declares.
+std::unique_ptr<monitor::MlMonitor> bind_monitor(const ModelArtifact& art,
+                                                 monitor::MonitorConfig config) {
+  check_declared_shapes(art.info(), config.effective_hidden(), art.tensors());
+  auto mon = std::make_unique<monitor::MlMonitor>(std::move(config));
+  std::istringstream scaler{std::string(art.scaler_bytes())};
+  try {
+    mon->bind(scaler, art.info().window, art.info().features, art.tensors());
+  } catch (const ContractViolation& e) {
+    // Scaler-stream validation uses contracts; surface it as the typed
+    // format error every registry caller handles.
+    throw ModelFormatError(std::string("model artifact: bad scaler section: ") +
+                           e.what());
+  }
+  return mon;
+}
+
 }  // namespace
 
 std::string build_model_artifact(monitor::MlMonitor& mon,
@@ -171,18 +189,24 @@ std::unique_ptr<monitor::MlMonitor> load_monitor(const ModelArtifact& art) {
   mc.arch = art.info().arch;
   mc.semantic = meta.semantic;
   mc.hidden = meta.hidden;
-  check_declared_shapes(art.info(), mc.effective_hidden(), art.tensors());
-  auto mon = std::make_unique<monitor::MlMonitor>(mc);
-  std::istringstream scaler{std::string(art.scaler_bytes())};
-  try {
-    mon->bind(scaler, art.info().window, art.info().features, art.tensors());
-  } catch (const ContractViolation& e) {
-    // Scaler-stream validation uses contracts; surface it as the typed
-    // format error every registry caller handles.
-    throw ModelFormatError(std::string("model artifact: bad scaler section: ") +
-                           e.what());
+  return bind_monitor(art, std::move(mc));
+}
+
+std::unique_ptr<monitor::MlMonitor> load_monitor(const ModelArtifact& art,
+                                                 monitor::MonitorConfig config) {
+  const ModelMeta meta = parse_model_meta(art);
+  monitor::MonitorConfig declared;
+  declared.arch = art.info().arch;
+  declared.hidden = meta.hidden;
+  if (declared.arch != config.arch || meta.semantic != config.semantic ||
+      declared.effective_hidden() != config.effective_hidden()) {
+    throw ModelFormatError("model artifact: declares a " +
+                           monitor::to_string(declared.arch) +
+                           (meta.semantic ? " semantic" : "") +
+                           " monitor that is not the expected " +
+                           config.display_name() + " layout");
   }
-  return mon;
+  return bind_monitor(art, std::move(config));
 }
 
 }  // namespace cpsguard::registry

@@ -41,4 +41,12 @@ ModelMeta parse_model_meta(const ModelArtifact& art);
 /// declared layer sizes never allocate more than the file's own tensors.
 std::unique_ptr<monitor::MlMonitor> load_monitor(const ModelArtifact& art);
 
+/// Same, into a monitor built from `config` (seed, epochs, semantic weight
+/// and the rest kept as given): the experiment cache and checkpoint
+/// snapshots restore a variant this way. An artifact whose arch, semantic
+/// flag or hidden sizes are not `config`'s is a ModelFormatError, and so
+/// is anything load_monitor(art) rejects.
+std::unique_ptr<monitor::MlMonitor> load_monitor(const ModelArtifact& art,
+                                                 monitor::MonitorConfig config);
+
 }  // namespace cpsguard::registry

@@ -113,14 +113,11 @@ std::vector<VerdictEvent> Engine::tick() {
       shard->evict_idle(now, config_.idle_ttl_ticks, evicted_last_tick_);
     }
   }
-  const int n = static_cast<int>(shards_.size());
-  if (config_.deterministic) {
-    for (auto& shard : shards_) shard->flush();
-  } else {
-    util::parallel_for(n, [&](int s) {
-      shards_[static_cast<std::size_t>(s)]->flush();
-    });
-  }
+  // Fans shards across the pool; under util::set_max_parallelism(1) this
+  // runs serially in shard order on the calling thread.
+  util::parallel_for(static_cast<int>(shards_.size()), [&](int s) {
+    shards_[static_cast<std::size_t>(s)]->flush();
+  });
   // Epoch boundary: a staged model activates here — after every shard
   // flushed under the outgoing model, before this tick's verdicts drain.
   // Stage-to-activate latency is therefore at most one flush epoch.

@@ -16,7 +16,7 @@
 // Determinism contract: verdicts depend only on the ingest sequence. For a
 // fixed interleaving of submit/tick calls the emitted VerdictEvent stream
 // is byte-identical whether tick() fans shards across the shared pool or
-// (deterministic mode / max_parallelism 1) flushes serially: shards are
+// (util::set_max_parallelism(1)) flushes serially: shards are
 // independent, batched inference is bit-identical to per-window inference,
 // and delivery order is always (shard index, ingest order).
 #pragma once
@@ -87,8 +87,7 @@ class Engine {
   void submit(SessionId id, const sim::StepRecord& rec);
 
   /// Cycle tick: flush every shard's partial micro-batch (in parallel
-  /// across shards unless deterministic mode or the parallelism cap says
-  /// otherwise), then drain — returns every verdict completed since the
+  /// across shards unless the parallelism cap says otherwise), then drain — returns every verdict completed since the
   /// last drain, in (shard, ingest) order.
   std::vector<VerdictEvent> tick();
 

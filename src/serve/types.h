@@ -139,12 +139,6 @@ struct EngineConfig {
   /// (before any hot swap). Registry deployments pass the published version
   /// so the verdict stream lines up with the registry's lineage.
   std::uint64_t initial_model_version = 1;
-  /// Deterministic mode: tick() flushes shards serially in shard order on
-  /// the calling thread instead of fanning out across the pool. Output
-  /// bytes are identical either way (flushes are per-shard independent and
-  /// batched inference is bit-identical to per-window inference); the mode
-  /// exists so golden tests can also pin scheduling.
-  bool deterministic = false;
 };
 
 }  // namespace cpsguard::serve

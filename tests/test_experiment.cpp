@@ -6,11 +6,14 @@
 #include <gtest/gtest.h>
 
 #include <filesystem>
+#include <fstream>
+#include <iterator>
 #include <functional>
 #include <string>
 #include <utility>
 #include <vector>
 
+#include "obs/metrics.h"
 #include "util/contracts.h"
 #include "util/thread_pool.h"
 
@@ -170,6 +173,57 @@ TEST(ExperimentCache, SaveAndReloadProducesSamePredictions) {
     EXPECT_EQ(first, second);
   }
   EXPECT_FALSE(std::filesystem::is_empty(cache));
+  std::filesystem::remove_all(cache);
+}
+
+// A cache file is a SHA-256-verified model artifact: one flipped weight
+// byte must not load as a different monitor. The next run retrains, scores
+// exactly as the original did, and rewrites a cache file that loads again.
+TEST(ExperimentCache, CorruptedCacheFileIsRetrainedNotLoaded) {
+  const std::string cache =
+      (std::filesystem::temp_directory_path() / "cpsguard_test_cache_rot")
+          .string();
+  std::filesystem::remove_all(cache);
+  ExperimentConfig cfg = tiny_config();
+  cfg.cache_dir = cache;
+  const MonitorVariant v{monitor::Arch::kMlp, false};
+  obs::Counter& epochs =
+      obs::Registry::instance().counter("nn.epochs_trained");
+
+  std::vector<int> first;
+  {
+    Experiment e1(cfg);
+    first = e1.monitor(v).predict(e1.test_data().x);
+  }
+  std::vector<std::filesystem::path> files;
+  for (const auto& f : std::filesystem::directory_iterator(cache)) {
+    files.push_back(f.path());
+  }
+  ASSERT_EQ(files.size(), 1u);
+  std::string bytes;
+  {
+    std::ifstream in(files[0], std::ios::binary);
+    bytes.assign(std::istreambuf_iterator<char>(in),
+                 std::istreambuf_iterator<char>());
+  }
+  // The last byte before the 32-byte SHA-256 trailer is the final weight.
+  ASSERT_GT(bytes.size(), 33u);
+  bytes[bytes.size() - 33] = static_cast<char>(bytes[bytes.size() - 33] ^ 0x01);
+  std::ofstream(files[0], std::ios::binary | std::ios::trunc) << bytes;
+
+  {
+    const std::uint64_t before = epochs.value();
+    Experiment e2(cfg);
+    EXPECT_EQ(e2.monitor(v).predict(e2.test_data().x), first);
+    EXPECT_EQ(epochs.value(), before + static_cast<std::uint64_t>(cfg.epochs))
+        << "the corrupted cache file was loaded instead of retrained";
+  }
+  {
+    const std::uint64_t before = epochs.value();
+    Experiment e3(cfg);
+    EXPECT_EQ(e3.monitor(v).predict(e3.test_data().x), first);
+    EXPECT_EQ(epochs.value(), before) << "the rewritten cache file missed";
+  }
   std::filesystem::remove_all(cache);
 }
 

@@ -80,10 +80,9 @@ TEST(TokenMutator, GeneratesFromDictionaryDeterministically) {
 TEST(FuzzTargets, RegistryCoversAllParsers) {
   std::set<std::string> names;
   for (const auto& t : all_targets()) names.insert(t.name);
-  const std::set<std::string> expected = {"stl",       "config",
-                                          "csv",       "json",
-                                          "checkpoint", "serialize",
-                                          "model",     "cli"};
+  const std::set<std::string> expected = {"stl",  "config",     "csv",
+                                          "json", "checkpoint", "model",
+                                          "cli"};
   EXPECT_EQ(names, expected);
   EXPECT_EQ(find_target("nope"), nullptr);
   ASSERT_NE(find_target("stl"), nullptr);
@@ -107,7 +106,6 @@ TEST(FuzzTargets, HostileInputsAreTypedRejects) {
   EXPECT_FALSE(find_target("stl")->run(std::string(300, '(')));
   EXPECT_FALSE(find_target("json")->run("{\"k\":"));
   EXPECT_FALSE(find_target("cli")->run("positional junk"));
-  EXPECT_FALSE(find_target("serialize")->run("not a model"));
   EXPECT_FALSE(find_target("checkpoint")->run("cpsguard.checkpoint.v1\n"));
   EXPECT_FALSE(find_target("model")->run("CPSGMDL1 not a real artifact"));
   EXPECT_FALSE(find_target("model")->run(""));

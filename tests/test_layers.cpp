@@ -143,31 +143,6 @@ TEST(Relu, BackwardMasksGradient) {
   EXPECT_FLOAT_EQ(dx.at(0, 1), 7.0f);
 }
 
-TEST(Tanh, MatchesStdTanhAndGradient) {
-  util::Rng rng(5);
-  Tanh t(4);
-  const Matrix x = random_matrix(2, 4, rng);
-  const Matrix y = t.forward(x);
-  for (int i = 0; i < x.rows(); ++i) {
-    for (int j = 0; j < x.cols(); ++j) {
-      EXPECT_NEAR(y.at(i, j), std::tanh(x.at(i, j)), 1e-6);
-    }
-  }
-  check_input_gradient(t, 4, rng);
-}
-
-TEST(Sigmoid, RangeAndGradient) {
-  util::Rng rng(6);
-  Sigmoid s(4);
-  const Matrix x = random_matrix(3, 4, rng);
-  const Matrix y = s.forward(x);
-  for (float v : y.data()) {
-    EXPECT_GT(v, 0.0f);
-    EXPECT_LT(v, 1.0f);
-  }
-  check_input_gradient(s, 4, rng);
-}
-
 TEST(Sigmoid, StableForExtremeInputs) {
   EXPECT_NEAR(sigmoid(50.0f), 1.0f, 1e-6);
   EXPECT_NEAR(sigmoid(-50.0f), 0.0f, 1e-6);
@@ -199,7 +174,7 @@ TEST(FeedForward, EndToEndInputGradient) {
   util::Rng rng(13);
   FeedForward net;
   net.add(std::make_unique<Dense>(3, 6, rng));
-  net.add(std::make_unique<Tanh>(6));
+  net.add(std::make_unique<Relu>(6));
   net.add(std::make_unique<Dense>(6, 2, rng));
 
   const Matrix x = random_matrix(2, 3, rng);

@@ -19,6 +19,7 @@
 #include "nn/dense.h"
 #include "nn/gru.h"
 #include "nn/lstm.h"
+#include "registry/model_io.h"
 #include "registry/registry.h"
 #include "sim/closed_loop.h"
 #include "util/contracts.h"
@@ -117,28 +118,14 @@ TEST(MlMonitor, ScaledAndRawPredictionsAgree) {
   EXPECT_EQ(raw, scaled);
 }
 
-TEST(MlMonitor, SaveLoadRoundtripPreservesPredictions) {
-  const Dataset ds = small_dataset(5);
-  MlMonitor a(fast_config(Arch::kLstm, false));
-  a.train(ds);
-  const std::string path =
-      (std::filesystem::temp_directory_path() / "cpsguard_monitor_test.bin").string();
-  a.save(path);
-
-  MlMonitor b(fast_config(Arch::kLstm, false));
-  b.load(path, ds.config.window, Features::kNumFeatures);
-  EXPECT_TRUE(b.trained());
-  EXPECT_EQ(a.predict(ds.x), b.predict(ds.x));
-  std::remove(path.c_str());
-}
-
 TEST(MlMonitor, UntrainedOperationsThrow) {
   MlMonitor mon(fast_config(Arch::kMlp, false));
   nn::Tensor3 x(1, 6, Features::kNumFeatures);
   EXPECT_THROW(mon.predict(x), cpsguard::ContractViolation);
   EXPECT_THROW((void)mon.classifier(), cpsguard::ContractViolation);
   EXPECT_THROW((void)mon.scaler(), cpsguard::ContractViolation);
-  EXPECT_THROW(mon.save("/tmp/x.bin"), cpsguard::ContractViolation);
+  EXPECT_THROW((void)registry::build_model_artifact(mon, {}),
+               cpsguard::ContractViolation);
 }
 
 TEST(MlMonitor, DeterministicGivenSeed) {

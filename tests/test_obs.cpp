@@ -2,11 +2,13 @@
 // registry under concurrency, spans, SHA-256, NDJSON events, and manifests.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cmath>
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
+#include <random>
 #include <string>
 #include <thread>
 #include <vector>
@@ -142,6 +144,49 @@ TEST(Sha256, Fips180TestVectors) {
       sha256_hex(std::string{
           "abcdbcdecdefdefgefghfghighijhijkijkljklmklmnlmnomnopnopq"}),
       "248d6a61d20638b8e5c026930c3e6039a33ce45964ff2167f6ecedd419db06c1");
+}
+
+// Incremental hashing must not depend on how the input is split: random
+// lengths up to 70 000 bytes, random update splits, and a context copied
+// mid-stream that finishes on its own.
+TEST(Sha256, IncrementalSplitsAndCopiesMatchOneShot) {
+  std::mt19937_64 rng(20260);
+  std::string buf(70000, '\0');
+  for (char& c : buf) c = static_cast<char>(rng());
+  for (int iter = 0; iter < 200; ++iter) {
+    const std::size_t len = rng() % (buf.size() + 1);
+    const std::size_t copy_at = len == 0 ? 0 : rng() % (len + 1);
+    Sha256 ctx;
+    Sha256 copy;
+    // Feed [0, copy_at), copy, then feed [copy_at, len), each in random
+    // pieces of 0 to 3 000 bytes (empty, ragged and multi-block updates).
+    const auto feed = [&](std::size_t from, std::size_t to) {
+      while (from < to) {
+        const std::size_t step = std::min<std::size_t>(to - from, rng() % 3001);
+        ctx.update(buf.data() + from, step);
+        from += step;
+      }
+    };
+    feed(0, copy_at);
+    copy = ctx;
+    feed(copy_at, len);
+    const std::string want = sha256_hex(buf.data(), len);
+    EXPECT_EQ(to_hex(ctx.digest()), want) << "len " << len;
+    // The copy resumes from its own state: the bytes after the copy point.
+    copy.update(buf.data() + copy_at, len - copy_at);
+    EXPECT_EQ(to_hex(copy.digest()), want)
+        << "len " << len << ", copied at " << copy_at;
+  }
+  // FIPS 180-2 long-message vector, fed in uneven pieces.
+  const std::string a(1000000, 'a');
+  Sha256 ctx;
+  for (std::size_t pos = 0; pos < a.size();) {
+    const std::size_t step = std::min<std::size_t>(a.size() - pos, 1 + pos % 997);
+    ctx.update(a.data() + pos, step);
+    pos += step;
+  }
+  EXPECT_EQ(to_hex(ctx.digest()),
+            "cdc76e5c9914fb9281a1c7e284d73e67f1809a48a497200e046d39ccc7112cd0");
 }
 
 TEST(Sha256, FileHashMatchesStringHash) {

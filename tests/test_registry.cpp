@@ -1,8 +1,9 @@
 // Model registry + artifact suite: load bit-identity against the freshly
 // trained monitor (all three architectures), canonical rebuild, flip-a-byte
-// corruption rejection, atomic-publish crash safety under chaos injection,
-// lineage chaining, retained-version GC, a loaded monitor that keeps its
-// verified bytes when the file changes, and loads racing publish and GC.
+// and truncation rejection, a hostile directory length, config-bound
+// loads, atomic-publish crash safety under chaos injection, lineage
+// chaining, retained-version GC, a loaded monitor that keeps its verified
+// bytes when the file changes, and loads racing publish and GC.
 #include "registry/registry.h"
 
 #include <gtest/gtest.h>
@@ -14,6 +15,7 @@
 #include <thread>
 
 #include "core/experiment.h"
+#include "obs/sha256.h"
 #include "registry/artifact.h"
 #include "registry/model_io.h"
 #include "util/chaos.h"
@@ -127,6 +129,15 @@ TEST_F(RegistryTest, AcceptedArtifactRebuildsBitIdentically) {
   EXPECT_EQ(ModelArtifact::parse(bytes).rebuild(), bytes);
 }
 
+// Little-endian u64 header field of an artifact.
+std::uint64_t header_u64(const std::string& bytes, std::size_t at) {
+  std::uint64_t v = 0;
+  for (int i = 7; i >= 0; --i) {
+    v = (v << 8) | static_cast<unsigned char>(bytes[at + static_cast<std::size_t>(i)]);
+  }
+  return v;
+}
+
 TEST_F(RegistryTest, EveryFlippedByteIsATypedReject) {
   ModelRegistry reg(dir_);
   const core::MonitorVariant mlp{monitor::Arch::kMlp, false};
@@ -152,10 +163,16 @@ TEST_F(RegistryTest, EveryFlippedByteIsATypedReject) {
     EXPECT_THROW((void)reg.open(1), ModelFormatError) << "byte " << pos;
   }
   EXPECT_GE(tried, 50u);
-  // Truncations, including cutting into the SHA trailer.
+  // Truncations: inside the header, torn writes that end inside the
+  // weight blobs (blob section offset/length at [80, 96)), and cuts into
+  // the SHA trailer.
+  const std::size_t blob_off = static_cast<std::size_t>(header_u64(clean, 80));
+  const std::size_t blob_len = static_cast<std::size_t>(header_u64(clean, 88));
   for (const std::size_t len :
        {std::size_t{0}, std::size_t{7}, kModelHeaderSize - 1,
-        kModelHeaderSize, clean.size() - kModelShaSize, clean.size() - 1}) {
+        kModelHeaderSize, blob_off + 1, blob_off + blob_len / 2,
+        blob_off + blob_len - 1, clean.size() - kModelShaSize,
+        clean.size() - 1}) {
     EXPECT_THROW((void)ModelArtifact::parse(clean.substr(0, len)),
                  ModelFormatError)
         << "len " << len;
@@ -163,6 +180,57 @@ TEST_F(RegistryTest, EveryFlippedByteIsATypedReject) {
   // Restore: the intact bytes still verify.
   write_file(path, clean);
   EXPECT_EQ(reg.open(1).file_sha256_hex(), ModelArtifact::parse(clean).file_sha256_hex());
+}
+
+// Replace the SHA-256 trailer with the digest of the (edited) payload, so
+// only the structural checks stand between the edit and a load.
+std::string resealed(std::string bytes) {
+  const std::size_t payload = bytes.size() - kModelShaSize;
+  obs::Sha256 sha;
+  sha.update(bytes.data(), payload);
+  const auto digest = sha.digest();
+  bytes.replace(payload, kModelShaSize,
+                reinterpret_cast<const char*>(digest.data()), digest.size());
+  return bytes;
+}
+
+TEST_F(RegistryTest, CorruptNameLengthIsNotAnAllocationBomb) {
+  ModelRegistry reg(dir_);
+  const core::MonitorVariant mlp{monitor::Arch::kMlp, false};
+  (void)exp_.publish_monitor(mlp, reg);
+  std::string bytes = read_file(reg.path_of(1));
+  // The first directory entry's u32 name_len, at the directory offset the
+  // header records at [64, 72), set to 0xffffffff with a valid checksum.
+  const std::size_t dir_off = static_cast<std::size_t>(header_u64(bytes, 64));
+  bytes.replace(dir_off, 4, "\xff\xff\xff\xff", 4);
+  EXPECT_THROW((void)ModelArtifact::parse(resealed(bytes)), ModelFormatError);
+}
+
+// The experiment cache restores a variant into its own config: any other
+// arch, semantic flag or hidden layout is a format error, never a
+// silently different monitor.
+TEST_F(RegistryTest, ConfigBoundLoadRejectsAnotherLayout) {
+  ModelRegistry reg(dir_);
+  const core::MonitorVariant mlp{monitor::Arch::kMlp, false};
+  (void)exp_.publish_monitor(mlp, reg);
+  const ModelArtifact art = reg.open(1);
+  const monitor::MonitorConfig want = exp_.monitor_config(mlp);
+
+  const auto mon = load_monitor(art, want);
+  EXPECT_EQ(mon->config().seed, want.seed);
+  EXPECT_EQ(mon->config().epochs, want.epochs);
+  const nn::Tensor3& x = exp_.test_data().x;
+  EXPECT_EQ(mon->predict_proba(x), exp_.monitor(mlp).predict_proba(x));
+
+  monitor::MonitorConfig other = want;
+  other.arch = monitor::Arch::kLstm;
+  EXPECT_THROW((void)load_monitor(art, other), ModelFormatError);
+  other = want;
+  other.semantic = true;
+  EXPECT_THROW((void)load_monitor(art, other), ModelFormatError);
+  other = want;
+  other.hidden = {16};
+  EXPECT_THROW((void)load_monitor(art, other), ModelFormatError);
 }
 
 TEST_F(RegistryTest, PublishSurvivesChaosFaultInjection) {

@@ -292,12 +292,11 @@ std::string verdict_line(const VerdictEvent& ev) {
 }
 
 std::string replay(core::Experiment& exp, monitor::MlMonitor& mon,
-                   monitor::MlMonitor& next, bool deterministic) {
+                   monitor::MlMonitor& next) {
   EngineConfig cfg;
   cfg.window = exp.config().dataset.window;
   cfg.shards = 4;
   cfg.max_batch = 16;
-  cfg.deterministic = deterministic;
   Engine engine(mon, cfg);
 
   const auto& traces = exp.test_traces();
@@ -331,15 +330,13 @@ std::string replay(core::Experiment& exp, monitor::MlMonitor& mon,
 }
 
 TEST_F(ServeTest, DeterministicGoldenReplay) {
-  // Serial deterministic mode vs pooled flushes: the verdict stream —
-  // including the mid-stream hot-swap and rollback — must be
-  // byte-identical, and match the checked-in golden.
+  // Serial flushes (parallelism capped at 1) vs pooled flushes: the
+  // verdict stream — including the mid-stream hot-swap and rollback — must
+  // be byte-identical, and match the checked-in golden.
   util::set_max_parallelism(1);
-  const std::string serial =
-      replay(exp_, mon(), next_mon(), /*deterministic=*/true);
+  const std::string serial = replay(exp_, mon(), next_mon());
   util::set_max_parallelism(0);
-  const std::string pooled =
-      replay(exp_, mon(), next_mon(), /*deterministic=*/false);
+  const std::string pooled = replay(exp_, mon(), next_mon());
   ASSERT_FALSE(serial.empty());
   ASSERT_EQ(serial, pooled)
       << "serial and pooled serve runs diverged — a flush reduction or "
