@@ -6,6 +6,7 @@
 #include <string>
 #include <vector>
 
+#include "attack/fgsm.h"
 #include "nn/activations.h"
 #include "nn/classifier.h"
 #include "nn/lstm_classifier.h"
@@ -102,14 +103,16 @@ void BM_LstmForward(benchmark::State& state) {
 BENCHMARK(BM_LstmForward)->Arg(16)->Arg(64)->Arg(256)->Arg(870);
 
 // One LSTM(128) layer over a 6-step window: the const infer against the
-// caching forward, so the cost of recording the step cache shows per layer.
+// forward that records into a caller-owned step cache, so the cost of
+// recording the cache shows per layer.
 void BM_LstmLayer(benchmark::State& state, bool record) {
   const auto batch = static_cast<int>(state.range(0));
   util::Rng rng(9);
   nn::LstmLayer lstm(9, 128, rng);
   const nn::Tensor3 x = random_tensor(batch, 6, 9, rng);
+  nn::LstmLayer::Cache cache;
   for (auto _ : state) {
-    benchmark::DoNotOptimize(record ? lstm.forward(x) : lstm.infer(x));
+    benchmark::DoNotOptimize(record ? lstm.forward(x, cache) : lstm.infer(x));
   }
   state.SetItemsProcessed(state.iterations() * batch);
 }
@@ -165,6 +168,23 @@ void BM_LstmInputGradient(benchmark::State& state) {
 }
 // 870 is the Fig. 9 sweep's test-set size: one FGSM curve's gradient.
 BENCHMARK(BM_LstmInputGradient)->Arg(1)->Arg(64)->Arg(870);
+
+// The same gradient as the sweeps take it: attack::fgsm_gradient, one task
+// per nn::kChunkRows-row chunk on the shared pool (bit-identical result).
+// Wall time, since the work runs on the pool's threads.
+void BM_LstmInputGradientChunked(benchmark::State& state) {
+  const auto batch = static_cast<int>(state.range(0));
+  util::Rng rng(6);
+  nn::LstmClassifier clf(6, 9, {128, 64}, 2, rng);
+  const nn::Tensor3 x = random_tensor(batch, 6, 9, rng);
+  std::vector<int> y(static_cast<std::size_t>(batch));
+  for (int i = 0; i < batch; ++i) y[static_cast<std::size_t>(i)] = i % 2;
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(attack::fgsm_gradient(clf, x, y));
+  }
+  state.SetItemsProcessed(state.iterations() * batch);
+}
+BENCHMARK(BM_LstmInputGradientChunked)->Arg(870)->UseRealTime();
 
 }  // namespace
 

@@ -11,7 +11,7 @@ SubstituteAttack::SubstituteAttack(SubstituteConfig config)
   expects(config_.epochs > 0 && config_.batch_size > 0, "bad substitute config");
 }
 
-void SubstituteAttack::fit(nn::Classifier& target,
+void SubstituteAttack::fit(const nn::Classifier& target,
                            const nn::Tensor3& scaled_queries) {
   expects(scaled_queries.batch() > 0, "empty query set");
   static obs::Counter& fits =
@@ -54,8 +54,8 @@ void SubstituteAttack::fit(nn::Classifier& target,
   }
 }
 
-double SubstituteAttack::agreement(nn::Classifier& target,
-                                   const nn::Tensor3& scaled_x) {
+double SubstituteAttack::agreement(const nn::Classifier& target,
+                                   const nn::Tensor3& scaled_x) const {
   expects(fitted(), "substitute not fitted");
   expects(scaled_x.batch() > 0, "empty input");
   const std::vector<int> t = nn::predict_classes(target, scaled_x);
@@ -67,12 +67,12 @@ double SubstituteAttack::agreement(nn::Classifier& target,
 
 nn::Tensor3 SubstituteAttack::craft(const nn::Tensor3& scaled_x,
                                     std::span<const int> labels,
-                                    const FgsmConfig& fgsm) {
+                                    const FgsmConfig& fgsm) const {
   expects(fitted(), "substitute not fitted");
   return fgsm_attack(*substitute_, scaled_x, labels, fgsm);
 }
 
-nn::Classifier& SubstituteAttack::substitute() {
+const nn::Classifier& SubstituteAttack::substitute() const {
   expects(fitted(), "substitute not fitted");
   return *substitute_;
 }

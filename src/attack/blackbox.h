@@ -29,22 +29,22 @@ class SubstituteAttack {
   /// Query the target on `scaled_queries` (already in model space, as the
   /// attacker knows the features in use) and fit the substitute on the
   /// returned labels.
-  void fit(nn::Classifier& target, const nn::Tensor3& scaled_queries);
+  void fit(const nn::Classifier& target, const nn::Tensor3& scaled_queries);
 
   [[nodiscard]] bool fitted() const { return substitute_ != nullptr; }
 
   /// Fraction of queries where the substitute matches the target — how well
   /// the attacker cloned the decision surface.
-  [[nodiscard]] double agreement(nn::Classifier& target,
-                                 const nn::Tensor3& scaled_x);
+  [[nodiscard]] double agreement(const nn::Classifier& target,
+                                 const nn::Tensor3& scaled_x) const;
 
   /// FGSM on the substitute; the returned windows are then fed to the
   /// *target* to measure transfer. `labels` are the target's predictions on
   /// the clean input (the attacker's best knowledge of the truth).
   nn::Tensor3 craft(const nn::Tensor3& scaled_x, std::span<const int> labels,
-                    const FgsmConfig& fgsm);
+                    const FgsmConfig& fgsm) const;
 
-  [[nodiscard]] nn::Classifier& substitute();
+  [[nodiscard]] const nn::Classifier& substitute() const;
 
  private:
   SubstituteConfig config_;

@@ -54,8 +54,8 @@ nn::Tensor3 squeeze_median(const nn::Tensor3& x, const SqueezeConfig& cfg) {
 FeatureSqueezingDetector::FeatureSqueezingDetector(SqueezeConfig config)
     : config_(config) {}
 
-std::vector<double> FeatureSqueezingDetector::scores(nn::Classifier& clf,
-                                                     const nn::Tensor3& scaled_x) {
+std::vector<double> FeatureSqueezingDetector::scores(
+    const nn::Classifier& clf, const nn::Tensor3& scaled_x) const {
   expects(scaled_x.batch() > 0, "empty input");
   const nn::Matrix p_raw = clf.predict_proba(scaled_x);
   const nn::Matrix p_quant = clf.predict_proba(squeeze_quantize(scaled_x, config_));
@@ -73,7 +73,7 @@ std::vector<double> FeatureSqueezingDetector::scores(nn::Classifier& clf,
   return out;
 }
 
-void FeatureSqueezingDetector::calibrate(nn::Classifier& clf,
+void FeatureSqueezingDetector::calibrate(const nn::Classifier& clf,
                                          const nn::Tensor3& clean_scaled_x,
                                          double quantile) {
   expects(quantile > 0.0 && quantile < 1.0, "quantile must be in (0,1)");
@@ -85,8 +85,8 @@ double FeatureSqueezingDetector::threshold() const {
   return threshold_;
 }
 
-std::vector<int> FeatureSqueezingDetector::detect(nn::Classifier& clf,
-                                                  const nn::Tensor3& scaled_x) {
+std::vector<int> FeatureSqueezingDetector::detect(
+    const nn::Classifier& clf, const nn::Tensor3& scaled_x) const {
   expects(calibrated(), "detector not calibrated");
   const auto s = scores(clf, scaled_x);
   std::vector<int> out(s.size());
@@ -94,8 +94,8 @@ std::vector<int> FeatureSqueezingDetector::detect(nn::Classifier& clf,
   return out;
 }
 
-double FeatureSqueezingDetector::detection_rate(nn::Classifier& clf,
-                                                const nn::Tensor3& scaled_x) {
+double FeatureSqueezingDetector::detection_rate(
+    const nn::Classifier& clf, const nn::Tensor3& scaled_x) const {
   const auto verdicts = detect(clf, scaled_x);
   std::size_t hits = 0;
   for (int v : verdicts) hits += static_cast<std::size_t>(v);

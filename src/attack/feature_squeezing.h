@@ -30,20 +30,23 @@ class FeatureSqueezingDetector {
 
   /// Per-sample score: max over squeezers of the L1 distance between the
   /// model's probability vectors on raw vs squeezed input. High = suspect.
-  std::vector<double> scores(nn::Classifier& clf, const nn::Tensor3& scaled_x);
+  [[nodiscard]] std::vector<double> scores(const nn::Classifier& clf,
+                                           const nn::Tensor3& scaled_x) const;
 
   /// Fit the alarm threshold as the `quantile` of scores on clean data.
-  void calibrate(nn::Classifier& clf, const nn::Tensor3& clean_scaled_x,
+  void calibrate(const nn::Classifier& clf, const nn::Tensor3& clean_scaled_x,
                  double quantile = 0.95);
 
   [[nodiscard]] bool calibrated() const { return threshold_ >= 0.0; }
   [[nodiscard]] double threshold() const;
 
   /// Per-sample adversarial verdicts (requires calibrate()).
-  std::vector<int> detect(nn::Classifier& clf, const nn::Tensor3& scaled_x);
+  [[nodiscard]] std::vector<int> detect(const nn::Classifier& clf,
+                                        const nn::Tensor3& scaled_x) const;
 
   /// Fraction of samples flagged (requires calibrate()).
-  double detection_rate(nn::Classifier& clf, const nn::Tensor3& scaled_x);
+  [[nodiscard]] double detection_rate(const nn::Classifier& clf,
+                                      const nn::Tensor3& scaled_x) const;
 
  private:
   SqueezeConfig config_;

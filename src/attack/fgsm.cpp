@@ -1,19 +1,49 @@
 #include "attack/fgsm.h"
 
+#include <algorithm>
+#include <numeric>
+#include <vector>
+
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "util/contracts.h"
+#include "util/thread_pool.h"
 
 namespace cpsguard::attack {
 
-nn::Tensor3 fgsm_gradient(nn::Classifier& clf, const nn::Tensor3& scaled_x,
+nn::Tensor3 fgsm_gradient(const nn::Classifier& clf,
+                          const nn::Tensor3& scaled_x,
                           std::span<const int> labels) {
-  expects(scaled_x.batch() == static_cast<int>(labels.size()),
+  const int rows = scaled_x.batch();
+  expects(rows == static_cast<int>(labels.size()),
           "one label per window required");
+  expects(rows > 0, "empty batch");
   static obs::Counter& gradients =
       obs::Registry::instance().counter("attack.fgsm.gradients");
   gradients.increment();
-  return clf.loss_input_gradient(scaled_x, labels);
+
+  // Every row's dlogits carries the whole set's 1/N and every later product
+  // is row-local, so each chunk's rows equal the whole-set call's.
+  const float inv_batch = 1.0f / static_cast<float>(rows);
+  const int chunks = (rows + nn::kChunkRows - 1) / nn::kChunkRows;
+  std::vector<int> row_ids(static_cast<std::size_t>(rows));
+  std::iota(row_ids.begin(), row_ids.end(), 0);
+  nn::Tensor3 grad(rows, scaled_x.time(), scaled_x.features());
+  util::parallel_for(chunks, [&](int c) {
+    const int r0 = c * nn::kChunkRows;
+    const auto n = static_cast<std::size_t>(std::min(rows - r0, nn::kChunkRows));
+    const auto ids = std::span<const int>(row_ids).subspan(
+        static_cast<std::size_t>(r0), n);
+    nn::ForwardCache cache;
+    const nn::Tensor3 part = clf.input_gradient(
+        scaled_x.gather(ids), labels.subspan(static_cast<std::size_t>(r0), n),
+        inv_batch, cache);
+    std::copy(part.data().begin(), part.data().end(),
+              grad.data().begin() +
+                  static_cast<std::ptrdiff_t>(r0) * scaled_x.time() *
+                      scaled_x.features());
+  });
+  return grad;
 }
 
 nn::Tensor3 fgsm_apply(const nn::Tensor3& scaled_x, const nn::Tensor3& grad,
@@ -54,7 +84,8 @@ nn::Tensor3 fgsm_apply(const nn::Tensor3& scaled_x, const nn::Tensor3& grad,
   return adv;
 }
 
-nn::Tensor3 fgsm_attack(nn::Classifier& clf, const nn::Tensor3& scaled_x,
+nn::Tensor3 fgsm_attack(const nn::Classifier& clf,
+                        const nn::Tensor3& scaled_x,
                         std::span<const int> labels, const FgsmConfig& config) {
   expects(config.epsilon >= 0.0, "epsilon must be non-negative");
   return fgsm_apply(scaled_x, fgsm_gradient(clf, scaled_x, labels), config);

@@ -13,7 +13,8 @@ namespace {
 
 // Per-sample cross-entropy −log p_y from the target's output probabilities —
 // the score an output-only attacker can compute.
-std::vector<double> ce_scores(nn::Classifier& target, const nn::Tensor3& x,
+std::vector<double> ce_scores(const nn::Classifier& target,
+                              const nn::Tensor3& x,
                               std::span<const int> labels) {
   const nn::Matrix probs = target.predict_proba(x);
   std::vector<double> out(static_cast<std::size_t>(probs.rows()));
@@ -26,7 +27,8 @@ std::vector<double> ce_scores(nn::Classifier& target, const nn::Tensor3& x,
 
 }  // namespace
 
-nn::Tensor3 nes_attack(nn::Classifier& target, const nn::Tensor3& scaled_x,
+nn::Tensor3 nes_attack(const nn::Classifier& target,
+                       const nn::Tensor3& scaled_x,
                        std::span<const int> labels, const NesConfig& config) {
   expects(config.epsilon >= 0.0, "epsilon must be non-negative");
   expects(config.step_size > 0.0, "step size must be positive");

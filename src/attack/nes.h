@@ -31,7 +31,8 @@ struct NesConfig {
 /// attacker's best guess of the true labels (typically the target's own
 /// clean predictions). Postcondition: ‖x_adv − x‖∞ ≤ ε.
 /// Query cost: iterations × samples forward passes over the batch.
-nn::Tensor3 nes_attack(nn::Classifier& target, const nn::Tensor3& scaled_x,
+nn::Tensor3 nes_attack(const nn::Classifier& target,
+                       const nn::Tensor3& scaled_x,
                        std::span<const int> labels, const NesConfig& config);
 
 }  // namespace cpsguard::attack

@@ -8,7 +8,8 @@
 
 namespace cpsguard::attack {
 
-nn::Tensor3 pgd_attack(nn::Classifier& clf, const nn::Tensor3& scaled_x,
+nn::Tensor3 pgd_attack(const nn::Classifier& clf,
+                       const nn::Tensor3& scaled_x,
                        std::span<const int> labels, const PgdConfig& config) {
   expects(config.epsilon >= 0.0, "epsilon must be non-negative");
   expects(config.step_size > 0.0, "step size must be positive");

@@ -21,7 +21,8 @@ struct PgdConfig {
 /// Craft adversarial windows with PGD. Postcondition: ‖x_adv − x‖∞ ≤ ε.
 /// Strictly at least as strong as FGSM with the same ε when
 /// iterations·step_size ≥ ε.
-nn::Tensor3 pgd_attack(nn::Classifier& clf, const nn::Tensor3& scaled_x,
+nn::Tensor3 pgd_attack(const nn::Classifier& clf,
+                       const nn::Tensor3& scaled_x,
                        std::span<const int> labels, const PgdConfig& config);
 
 }  // namespace cpsguard::attack

@@ -8,7 +8,7 @@
 
 namespace cpsguard::attack {
 
-nn::Tensor3 craft_universal_perturbation(nn::Classifier& clf,
+nn::Tensor3 craft_universal_perturbation(const nn::Classifier& clf,
                                          const nn::Tensor3& crafting_x,
                                          std::span<const int> labels,
                                          const UniversalConfig& config) {

@@ -23,7 +23,7 @@ struct UniversalConfig {
 
 /// Craft a universal perturbation on `crafting_x` (scaled model space) with
 /// the attacker's labels. Returns δ as a [1, T, F] tensor.
-nn::Tensor3 craft_universal_perturbation(nn::Classifier& clf,
+nn::Tensor3 craft_universal_perturbation(const nn::Classifier& clf,
                                          const nn::Tensor3& crafting_x,
                                          std::span<const int> labels,
                                          const UniversalConfig& config);

@@ -481,7 +481,7 @@ EvalResult Experiment::evaluate_under_gaussian(const MonitorVariant& v,
 EvalResult Experiment::evaluate_under_fgsm(const MonitorVariant& v,
                                            double epsilon,
                                            attack::FeatureMask mask) {
-  auto& mon = monitor(v);
+  const auto& mon = monitor(v);
   attack::FgsmConfig fc;
   fc.epsilon = epsilon;
   fc.mask = mask;
@@ -494,11 +494,12 @@ EvalResult Experiment::evaluate_under_fgsm(const MonitorVariant& v,
   return r;
 }
 
-attack::SubstituteAttack& Experiment::substitute_for(const MonitorVariant& v) {
+const attack::SubstituteAttack& Experiment::substitute_for(
+    const MonitorVariant& v) {
   const std::string key = v.name();
   const auto it = substitutes_.find(key);
   if (it != substitutes_.end()) return *it->second;
-  auto& mon = monitor(v);
+  const auto& mon = monitor(v);
   auto sub = std::make_unique<attack::SubstituteAttack>(attack::SubstituteConfig{});
   // The attacker queries the target on the training distribution.
   const nn::Tensor3 queries = mon.scaler().transform(data_->train.x);
@@ -509,8 +510,8 @@ attack::SubstituteAttack& Experiment::substitute_for(const MonitorVariant& v) {
 
 EvalResult Experiment::evaluate_under_blackbox(const MonitorVariant& v,
                                                double epsilon) {
-  auto& mon = monitor(v);
-  auto& sub = substitute_for(v);
+  const auto& mon = monitor(v);
+  const auto& sub = substitute_for(v);
   attack::FgsmConfig fc;
   fc.epsilon = epsilon;
   const nn::Tensor3 adv =
@@ -567,8 +568,9 @@ std::vector<EvalResult> Experiment::run_checkpointed_sweep(
   if (missing.empty()) return out;
   const int m = static_cast<int>(missing.size());
 
-  // Shared per-curve work (the FGSM input gradient) runs once, serially,
-  // and only when some point still has to be computed.
+  // Shared per-curve work (the FGSM input gradient, which fans out over
+  // row chunks itself) runs once, before the point fan-out, and only when
+  // some point still has to be computed.
   if (prepare) {
     util::check_deadline(kind);
     prepare();
@@ -593,15 +595,15 @@ std::vector<EvalResult> Experiment::run_checkpointed_sweep(
   // independently, so a chunk's classes equal its rows of a whole-set
   // predict, and a five-point curve keeps every thread busy to the end.
   const int rows = test.size();
-  const int chunks = (rows + kSweepChunkRows - 1) / kSweepChunkRows;
+  const int chunks = (rows + nn::kChunkRows - 1) / nn::kChunkRows;
   std::vector<int> row_ids(static_cast<std::size_t>(rows));
   std::iota(row_ids.begin(), row_ids.end(), 0);
   std::vector<std::vector<int>> preds(
       missing.size(), std::vector<int>(static_cast<std::size_t>(rows)));
   util::parallel_for(m * chunks, [&](int task) {
     const auto sj = static_cast<std::size_t>(task / chunks);
-    const int r0 = (task % chunks) * kSweepChunkRows;
-    const int r1 = std::min(rows, r0 + kSweepChunkRows);
+    const int r0 = (task % chunks) * nn::kChunkRows;
+    const int r1 = std::min(rows, r0 + nn::kChunkRows);
     const auto chunk = std::span<const int>(row_ids).subspan(
         static_cast<std::size_t>(r0), static_cast<std::size_t>(r1 - r0));
     const std::vector<int> p = mon.predict_scaled(inputs[sj].gather(chunk));
@@ -645,11 +647,12 @@ std::vector<EvalResult> Experiment::evaluate_under_gaussian_sweep(
 std::vector<EvalResult> Experiment::evaluate_under_fgsm_sweep(
     const MonitorVariant& v, std::span<const double> epsilons,
     attack::FeatureMask mask) {
-  monitor::MlMonitor& mon = monitor(v);
+  const monitor::MlMonitor& mon = monitor(v);
   const nn::Tensor3& scaled = scaled_test_input(v);
   const monitor::Dataset& test = test_data();
   // The input gradient does not depend on ε: one per curve, computed
-  // before the fan-out, then every point applies its ε to it.
+  // before the point fan-out (itself fanned out over row chunks), then
+  // every point applies its ε to it.
   nn::Tensor3 grad;
   return run_checkpointed_sweep(
       "fgsm", v, epsilons, static_cast<std::uint64_t>(mask),

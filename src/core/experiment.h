@@ -113,12 +113,6 @@ struct EvalResult {
 
 class Experiment {
  public:
-  /// Test windows per predict task of a sweep's fan-out. 64, 128 and 218
-  /// rows gave 101k, 109k and 85k windows/s on the Fig. 9 workload (4
-  /// threads): smaller chunks pay per-call overhead, larger ones leave
-  /// threads idle at the end of a curve.
-  static constexpr int kSweepChunkRows = 128;
-
   explicit Experiment(ExperimentConfig config);
 
   /// Generate the campaign and datasets (idempotent).
@@ -232,7 +226,7 @@ class Experiment {
 
  private:
   std::string cache_path(const MonitorVariant& variant) const;
-  attack::SubstituteAttack& substitute_for(const MonitorVariant& variant);
+  const attack::SubstituteAttack& substitute_for(const MonitorVariant& variant);
   const nn::Tensor3& scaled_test_input(const MonitorVariant& variant);
   std::string sweep_point_key(const char* kind, const MonitorVariant& variant,
                               double param, std::uint64_t extra) const;
@@ -250,7 +244,7 @@ class Experiment {
   /// then three phases on the shared pool:
   ///   1. one task per missing point builds `scaled_input(i)`, under the
   ///      retry + chaos seam (`sweep.point`) and deadline polling;
-  ///   2. one flat fan-out over every (point, kSweepChunkRows-row chunk)
+  ///   2. one flat fan-out over every (point, nn::kChunkRows-row chunk)
   ///      predicts on the const monitor into that point's predictions;
   ///   3. each point's metrics, then its checkpoint put.
   std::vector<EvalResult> run_checkpointed_sweep(

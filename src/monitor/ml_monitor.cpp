@@ -106,7 +106,8 @@ TrainReport MlMonitor::train(const Dataset& train_data) {
       if (config_.adversarial_training && epoch > 0) {
         // FGSM against the current model on the leading slice of the batch
         // (inline sign-of-input-gradient — keeps monitor/ independent of
-        // the attack library, which depends on this module).
+        // the attack library, which depends on this module). The gradient
+        // is the const whole-mini-batch one, scaled by this batch's 1/B.
         nn::Tensor3 mixed = xb;
         const int attacked = static_cast<int>(config_.adv_fraction * count);
         if (attacked > 0) {

@@ -166,16 +166,18 @@ Matrix Relu::infer(const Matrix& x) const {
   return y;
 }
 
-Matrix Relu::forward(const Matrix& x) {
-  cached_output_ = infer(x);
-  return cached_output_;
+Matrix Relu::forward(const Matrix& x, Matrix& cache) const {
+  cache = infer(x);
+  return cache;
 }
 
-Matrix Relu::backward(const Matrix& dy) {
-  expects(dy.rows() == cached_output_.rows() && dy.cols() == cached_output_.cols(),
+Matrix Relu::backward(const Matrix& dy, const Matrix& cache,
+                      std::span<Param* const> grads) const {
+  expects(dy.rows() == cache.rows() && dy.cols() == cache.cols(),
           "ReLU: backward shape mismatch");
+  expects(grads.empty(), "ReLU has no parameters");
   Matrix dx = dy;
-  const auto y = cached_output_.data();
+  const auto y = cache.data();
   auto g = dx.data();
   for (std::size_t i = 0; i < g.size(); ++i) {
     if (y[i] <= 0.0f) g[i] = 0.0f;

@@ -32,8 +32,10 @@ class Relu : public Layer {
   explicit Relu(int size) : size_(size) {}
 
   [[nodiscard]] Matrix infer(const Matrix& x) const override;
-  Matrix forward(const Matrix& x) override;
-  Matrix backward(const Matrix& dy) override;
+  /// The cache is the output y: dx = dy where y > 0, else 0.
+  Matrix forward(const Matrix& x, Matrix& cache) const override;
+  Matrix backward(const Matrix& dy, const Matrix& cache,
+                  std::span<Param* const> grads) const override;
 
   [[nodiscard]] std::string name() const override { return "ReLU"; }
   [[nodiscard]] int input_size() const override { return size_; }
@@ -41,7 +43,6 @@ class Relu : public Layer {
 
  private:
   int size_;
-  Matrix cached_output_;
 };
 
 }  // namespace cpsguard::nn

@@ -21,6 +21,12 @@ void Classifier::zero_grad() {
   for (Param* p : params()) p->zero_grad();
 }
 
+Tensor3 Classifier::loss_input_gradient(const Tensor3& x,
+                                        std::span<const int> labels) const {
+  ForwardCache cache;
+  return input_gradient(x, labels, 1.0f / static_cast<float>(x.batch()), cache);
+}
+
 std::vector<int> predict_classes(const Classifier& clf, const Tensor3& x) {
   const Matrix probs = clf.predict_proba(x);
   std::vector<int> out(static_cast<std::size_t>(probs.rows()));
@@ -71,21 +77,21 @@ double MlpClassifier::accumulate_gradients(
     const Tensor3& x, std::span<const int> labels,
     std::span<const float> semantic_targets, const Loss& loss) {
   expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
-  const Matrix logits = net_.forward(x.flatten());
+  FeedForward::Cache cache;
+  const Matrix logits = net_.forward(x.flatten(), cache);
   const LossResult lr = loss.compute(logits, labels, semantic_targets);
-  net_.backward(lr.dlogits);
+  net_.backward(lr.dlogits, cache, net_.params());
   return lr.loss;
 }
 
-Tensor3 MlpClassifier::loss_input_gradient(const Tensor3& x,
-                                           std::span<const int> labels) {
+Tensor3 MlpClassifier::input_gradient(const Tensor3& x,
+                                      std::span<const int> labels,
+                                      float inv_batch,
+                                      ForwardCache& cache) const {
   expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
-  zero_grad();
-  const Matrix logits = net_.forward(x.flatten());
-  const SoftmaxCrossEntropy ce;
-  const LossResult lr = ce.compute(logits, labels, {});
-  const Matrix dx = net_.backward(lr.dlogits);
-  zero_grad();
+  const Matrix logits = net_.forward(x.flatten(), cache.dense);
+  const Matrix dx = net_.backward(
+      cross_entropy_logit_grad(logits, labels, inv_batch), cache.dense, {});
   return Tensor3::from_flat(dx, time_steps_, features_);
 }
 

@@ -15,17 +15,23 @@ Matrix Dense::infer(const Matrix& x) const {
   return y;
 }
 
-Matrix Dense::forward(const Matrix& x) {
+Matrix Dense::forward(const Matrix& x, Matrix& cache) const {
   Matrix y = infer(x);
-  cached_input_ = x;
+  cache = x;
   return y;
 }
 
-Matrix Dense::backward(const Matrix& dy) {
+Matrix Dense::backward(const Matrix& dy, const Matrix& cache,
+                       std::span<Param* const> grads) const {
   expects(dy.cols() == output_size(), "Dense: output-grad width mismatch");
-  expects(dy.rows() == cached_input_.rows(), "Dense: backward batch mismatch");
-  w_.grad.add_in_place(matmul_tn(cached_input_, dy));
-  b_.grad.add_in_place(dy.column_sums());
+  expects(dy.rows() == cache.rows() && cache.cols() == input_size(),
+          "Dense: backward batch mismatch");
+  if (!grads.empty()) {
+    expects(grads.size() == 2 && grads[0] == &w_ && grads[1] == &b_,
+            "Dense: grads must be this layer's params()");
+    grads[0]->grad.add_in_place(matmul_tn(cache, dy));
+    grads[1]->grad.add_in_place(dy.column_sums());
+  }
   return matmul_nt(dy, w_.value);
 }
 

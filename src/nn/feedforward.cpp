@@ -20,19 +20,30 @@ Matrix FeedForward::infer(const Matrix& x) const {
   return h;
 }
 
-Matrix FeedForward::forward(const Matrix& x) {
+Matrix FeedForward::forward(const Matrix& x, Cache& cache) const {
   expects(!layers_.empty(), "network has no layers");
+  cache.resize(layers_.size());
   Matrix h = x;
-  for (auto& layer : layers_) h = layer->forward(h);
+  for (std::size_t i = 0; i < layers_.size(); ++i) {
+    h = layers_[i]->forward(h, cache[i]);
+  }
   return h;
 }
 
-Matrix FeedForward::backward(const Matrix& dy) {
+Matrix FeedForward::backward(const Matrix& dy, const Cache& cache,
+                             std::span<Param* const> grads) const {
   expects(!layers_.empty(), "network has no layers");
+  expects(cache.size() == layers_.size(), "FeedForward: backward without forward");
   Matrix g = dy;
-  for (auto it = layers_.rbegin(); it != layers_.rend(); ++it) {
-    g = (*it)->backward(g);
+  std::size_t end = grads.size();  // grads[0, end) belong to layers [0, i]
+  for (std::size_t i = layers_.size(); i-- > 0;) {
+    const Layer& layer = *layers_[i];
+    const std::size_t n = grads.empty() ? 0 : layer.param_count();
+    expects(n <= end, "FeedForward: grads must be params()");
+    g = layer.backward(g, cache[i], grads.subspan(end - n, n));
+    end -= n;
   }
+  expects(end == 0, "FeedForward: grads must be params()");
   return g;
 }
 
@@ -42,10 +53,6 @@ std::vector<Param*> FeedForward::params() {
     for (Param* p : layer->params()) out.push_back(p);
   }
   return out;
-}
-
-void FeedForward::zero_grad() {
-  for (Param* p : params()) p->zero_grad();
 }
 
 int FeedForward::input_size() const {

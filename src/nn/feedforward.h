@@ -1,4 +1,5 @@
-// Sequential container of feed-forward layers.
+// Sequential container of feed-forward layers. Like every layer it keeps no
+// forward cache: forward fills one the caller owns, and backward reads it.
 #pragma once
 
 #include <memory>
@@ -10,6 +11,9 @@ namespace cpsguard::nn {
 
 class FeedForward {
  public:
+  /// One Layer cache per layer, in order.
+  using Cache = std::vector<Matrix>;
+
   FeedForward() = default;
 
   /// Append a layer; its input size must match the current output size.
@@ -18,14 +22,16 @@ class FeedForward {
   /// Inference through all layers; records nothing.
   [[nodiscard]] Matrix infer(const Matrix& x) const;
 
-  /// Forward through all layers, caching for backward.
-  Matrix forward(const Matrix& x);
+  /// Forward through all layers, recording each layer's cache in `cache`.
+  Matrix forward(const Matrix& x, Cache& cache) const;
 
-  /// Backward through all layers; returns dLoss/dInput.
-  Matrix backward(const Matrix& dy);
+  /// Backward through all layers over the cache of the matching forward;
+  /// returns dLoss/dInput. `grads` is empty (no parameter-gradient products)
+  /// or exactly params(), whose gradients it adds to (see Layer::backward).
+  Matrix backward(const Matrix& dy, const Cache& cache,
+                  std::span<Param* const> grads) const;
 
   [[nodiscard]] std::vector<Param*> params();
-  void zero_grad();
 
   [[nodiscard]] int input_size() const;
   [[nodiscard]] int output_size() const;

@@ -16,8 +16,9 @@ struct GradCheckResult {
 };
 
 /// Compare the analytic gradient of the mean CE loss w.r.t. the *input*
-/// against central finite differences. Checks `probes` randomly chosen input
-/// coordinates (or all when probes <= 0).
+/// (the const Classifier::loss_input_gradient) against central finite
+/// differences. Checks `probes` randomly chosen input coordinates (or all
+/// when probes <= 0).
 GradCheckResult check_input_gradient(Classifier& clf, const Tensor3& x,
                                      std::span<const int> labels,
                                      util::Rng& rng, int probes = 40,

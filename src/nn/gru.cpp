@@ -17,13 +17,7 @@ GruLayer::GruLayer(int input, int hidden, util::Rng& rng)
   expects(input > 0 && hidden > 0, "GRU sizes must be positive");
 }
 
-Tensor3 GruLayer::forward(const Tensor3& x) {
-  Tensor3 out = run(x, &cache_);
-  cached_batch_ = x.batch();
-  return out;
-}
-
-Tensor3 GruLayer::run(const Tensor3& x, std::vector<StepCache>* cache) const {
+Tensor3 GruLayer::run(const Tensor3& x, Cache* cache) const {
   expects(x.features() == input_, "GRU: input feature width mismatch");
   const int batch = x.batch();
   const int steps = x.time();
@@ -84,19 +78,24 @@ Tensor3 GruLayer::run(const Tensor3& x, std::vector<StepCache>* cache) const {
   return out;
 }
 
-Tensor3 GruLayer::backward(const Tensor3& dh_all, bool accumulate_param_grads) {
-  const int steps = static_cast<int>(cache_.size());
+Tensor3 GruLayer::backward(const Tensor3& dh_all, const Cache& cache,
+                           std::span<Param* const> grads) const {
+  const int steps = static_cast<int>(cache.size());
   expects(steps > 0, "GRU backward requires a prior forward");
-  expects(dh_all.batch() == cached_batch_ && dh_all.time() == steps &&
+  const int batch = cache.front().x.rows();
+  expects(dh_all.batch() == batch && dh_all.time() == steps &&
               dh_all.features() == hidden_,
           "GRU: hidden-grad shape mismatch");
-  const int batch = cached_batch_;
+  expects(grads.empty() || (grads.size() == 4 && grads[0] == &wx_ &&
+                            grads[1] == &wh_ && grads[2] == &bx_ &&
+                            grads[3] == &bh_),
+          "GRU: grads must be this layer's params()");
 
   Tensor3 dx(batch, steps, input_);
   Matrix dh_next = Matrix::zeros(batch, hidden_);
 
   for (int t = steps - 1; t >= 0; --t) {
-    const StepCache& sc = cache_[static_cast<std::size_t>(t)];
+    const StepCache& sc = cache[static_cast<std::size_t>(t)];
     Matrix dh = dh_all.time_slice(t);
     dh.add_in_place(dh_next);
 
@@ -133,11 +132,11 @@ Tensor3 GruLayer::backward(const Tensor3& dh_all, bool accumulate_param_grads) {
       }
     }
 
-    if (accumulate_param_grads) {
-      wx_.grad.add_in_place(matmul_tn(sc.x, da));
-      bx_.grad.add_in_place(da.column_sums());
-      wh_.grad.add_in_place(matmul_tn(sc.h_prev, dah));
-      bh_.grad.add_in_place(dah.column_sums());
+    if (!grads.empty()) {
+      grads[0]->grad.add_in_place(matmul_tn(sc.x, da));
+      grads[2]->grad.add_in_place(da.column_sums());
+      grads[1]->grad.add_in_place(matmul_tn(sc.h_prev, dah));
+      grads[3]->grad.add_in_place(dah.column_sums());
     }
 
     dx.set_time_slice(t, matmul_nt(da, wx_.value));

@@ -1,7 +1,8 @@
 // GRU layer (Cho et al. 2014, PyTorch/cuDNN gate formulation) with full
 // backpropagation-through-time. A second recurrent architecture for testing
 // whether the paper's conclusions (semantic-loss robustness gains, FGSM
-// sensitivity of recurrent monitors) generalize beyond the LSTM.
+// sensitivity of recurrent monitors) generalize beyond the LSTM. As for the
+// LSTM, every call is const and the step cache belongs to the caller.
 //
 // Gate layout inside the fused weights is [z | r | n]:
 //   a  = x Wx + bx          (input contribution,  [B, 3H])
@@ -22,6 +23,18 @@ namespace cpsguard::nn {
 
 class GruLayer {
  public:
+  /// What one timestep of forward records for backward.
+  struct StepCache {
+    Matrix x;       // [B, input]
+    Matrix h_prev;  // [B, hidden]
+    Matrix z;       // [B, hidden] post-activation
+    Matrix r;       // [B, hidden] post-activation
+    Matrix n;       // [B, hidden] post-activation
+    Matrix ah_n;    // [B, hidden] the hidden contribution gated by r
+  };
+  /// One StepCache per timestep of the last forward into it.
+  using Cache = std::vector<StepCache>;
+
   GruLayer(int input, int hidden, util::Rng& rng);
 
   /// Inference over the whole sequence; records nothing, so concurrent
@@ -30,13 +43,17 @@ class GruLayer {
     return run(x, nullptr);
   }
 
-  /// infer(x), caching per-step state for backward.
-  Tensor3 forward(const Tensor3& x);
+  /// infer(x), recording per-step state for backward into `cache`
+  /// (overwriting it).
+  Tensor3 forward(const Tensor3& x, Cache& cache) const {
+    return run(x, &cache);
+  }
 
-  /// BPTT. `dh` holds dLoss/dh_t for every timestep; returns dLoss/dx.
-  /// With `accumulate_param_grads` false the weight-gradient products are
-  /// skipped (see LstmLayer::backward).
-  Tensor3 backward(const Tensor3& dh, bool accumulate_param_grads = true);
+  /// BPTT over the cache of the matching forward. `dh` holds dLoss/dh_t for
+  /// every timestep; returns dLoss/dx. `grads` is empty or exactly params()
+  /// (see LstmLayer::backward).
+  Tensor3 backward(const Tensor3& dh, const Cache& cache,
+                   std::span<Param* const> grads) const;
 
   [[nodiscard]] std::vector<Param*> params();
 
@@ -51,20 +68,8 @@ class GruLayer {
   Param bx_;  // [1, 3*hidden]
   Param bh_;  // [1, 3*hidden]
 
-  struct StepCache {
-    Matrix x;       // [B, input]
-    Matrix h_prev;  // [B, hidden]
-    Matrix z;       // [B, hidden] post-activation
-    Matrix r;       // [B, hidden] post-activation
-    Matrix n;       // [B, hidden] post-activation
-    Matrix ah_n;    // [B, hidden] the hidden contribution gated by r
-  };
-
   // The one time loop; fills `cache` (one StepCache per step) when non-null.
-  Tensor3 run(const Tensor3& x, std::vector<StepCache>* cache) const;
-
-  std::vector<StepCache> cache_;
-  int cached_batch_ = 0;
+  Tensor3 run(const Tensor3& x, Cache* cache) const;
 };
 
 }  // namespace cpsguard::nn

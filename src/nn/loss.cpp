@@ -8,17 +8,18 @@ namespace cpsguard::nn {
 
 namespace {
 
-// Shared CE core: returns mean CE loss and writes (p - onehot)/B into dlogits.
+// Shared CE core: returns mean CE loss and writes (p - onehot) * inv_batch
+// into dlogits.
 double cross_entropy_core(const Matrix& logits, std::span<const int> labels,
-                          Matrix& probs, Matrix& dlogits) {
+                          float inv_batch, Matrix& probs, Matrix& dlogits) {
   const int batch = logits.rows();
   const int classes = logits.cols();
+  cpsguard::expects(batch > 0, "empty batch");
   cpsguard::expects(static_cast<int>(labels.size()) == batch,
                     "one label per logit row required");
   probs = softmax_rows(logits);
   dlogits = probs;
   double total = 0.0;
-  const float inv_batch = 1.0f / static_cast<float>(batch);
   for (int r = 0; r < batch; ++r) {
     const int y = labels[static_cast<std::size_t>(r)];
     cpsguard::expects(y >= 0 && y < classes, "label out of range");
@@ -30,15 +31,27 @@ double cross_entropy_core(const Matrix& logits, std::span<const int> labels,
   return total / batch;
 }
 
+float mean_scale(const Matrix& logits) {
+  return 1.0f / static_cast<float>(logits.rows());
+}
+
 }  // namespace
+
+Matrix cross_entropy_logit_grad(const Matrix& logits,
+                                std::span<const int> labels, float inv_batch) {
+  Matrix probs;
+  Matrix dlogits;
+  (void)cross_entropy_core(logits, labels, inv_batch, probs, dlogits);
+  return dlogits;
+}
 
 LossResult SoftmaxCrossEntropy::compute(
     const Matrix& logits, std::span<const int> labels,
     std::span<const float> /*semantic_targets*/) const {
-  cpsguard::expects(logits.rows() > 0, "empty batch");
   LossResult out;
   Matrix probs;
-  out.loss = cross_entropy_core(logits, labels, probs, out.dlogits);
+  out.loss = cross_entropy_core(logits, labels, mean_scale(logits), probs,
+                                out.dlogits);
   return out;
 }
 
@@ -57,7 +70,8 @@ LossResult SemanticLoss::compute(const Matrix& logits,
                     "one semantic target per sample required");
   LossResult out;
   Matrix probs;
-  out.loss = cross_entropy_core(logits, labels, probs, out.dlogits);
+  out.loss = cross_entropy_core(logits, labels, mean_scale(logits), probs,
+                                out.dlogits);
 
   // Knowledge term: w * |p1 - s| per sample, averaged over the batch.
   // d|p1 - s|/dp1 = sign(p1 - s); dp1/dz_k = p1 * (δ_{1k} - p_k).

@@ -36,6 +36,13 @@ class SoftmaxCrossEntropy : public Loss {
                      std::span<const float> semantic_targets) const override;
 };
 
+/// dCE/dlogits alone: (softmax(logits) − onehot(labels)) · inv_batch.
+/// SoftmaxCrossEntropy scales by 1/rows; a caller that scores one chunk of a
+/// larger set passes that set's 1/N, so each row is bit-identical to the
+/// same row of the whole-set gradient.
+Matrix cross_entropy_logit_grad(const Matrix& logits,
+                                std::span<const int> labels, float inv_batch);
+
 /// How the knowledge term treats windows where no rule fires.
 enum class SemanticMode {
   /// Eq. (2) verbatim: penalize |p1 - s| for both s = 1 and s = 0.

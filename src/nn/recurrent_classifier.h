@@ -1,13 +1,16 @@
-// Generic stacked-recurrent classifier: any cell layer exposing
-//   Tensor3 infer(const Tensor3&) const, Tensor3 forward(const Tensor3&),
-//   Tensor3 backward(const Tensor3&, bool accumulate_param_grads),
+// Generic stacked-recurrent classifier: a cell layer exposing
+//   Tensor3 infer(const Tensor3&) const,
+//   Tensor3 forward(const Tensor3&, Cache&) const,
+//   Tensor3 backward(const Tensor3&, const Cache&, std::span<Param* const>) const,
 //   std::vector<Param*> params(), int hidden_size()
 // can be stacked under a dense softmax head. Instantiated for the LSTM
-// (nn/lstm_classifier.h) and the GRU (nn/gru_classifier.h).
+// (nn/lstm_classifier.h) and the GRU (nn/gru_classifier.h); each keeps its
+// cells' step caches in its own ForwardCache field.
 #pragma once
 
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 #include "nn/classifier.h"
@@ -59,26 +62,25 @@ class RecurrentClassifier : public Classifier {
                               std::span<const float> semantic_targets,
                               const Loss& loss) override {
     expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
-    const Matrix logits = head_.forward(encode(x));
+    ForwardCache cache;
+    const Matrix logits = head_.forward(encode(x, cache), cache.dense);
     const LossResult lr = loss.compute(logits, labels, semantic_targets);
-    const Matrix dh_last = head_.backward(lr.dlogits);
-    decode_gradient(dh_last, /*accumulate_param_grads=*/true);
+    const Matrix dh_last = head_.backward(lr.dlogits, cache.dense, head_.params());
+    decode_gradient(dh_last, cache,
+                    [&](std::size_t i) { return cells_[i]->params(); });
     return lr.loss;
   }
 
-  /// Input-only BPTT: the cells skip their weight-gradient products, which
-  /// are half the backward's arithmetic and would be zeroed anyway. Only
-  /// the small dense head accumulates, and zero_grad() clears it.
-  Tensor3 loss_input_gradient(const Tensor3& x,
-                              std::span<const int> labels) override {
+  /// Input-only BPTT: neither the cells nor the head compute their
+  /// weight-gradient products, which are half the backward's arithmetic.
+  Tensor3 input_gradient(const Tensor3& x, std::span<const int> labels,
+                         float inv_batch, ForwardCache& cache) const override {
     expects(x.batch() == static_cast<int>(labels.size()), "batch/label mismatch");
-    const Matrix logits = head_.forward(encode(x));
-    const SoftmaxCrossEntropy ce;
-    const LossResult lr = ce.compute(logits, labels, {});
-    const Matrix dh_last = head_.backward(lr.dlogits);
-    Tensor3 dx = decode_gradient(dh_last, /*accumulate_param_grads=*/false);
-    zero_grad();
-    return dx;
+    const Matrix logits = head_.forward(encode(x, cache), cache.dense);
+    const Matrix dh_last = head_.backward(
+        cross_entropy_logit_grad(logits, labels, inv_batch), cache.dense, {});
+    return decode_gradient(dh_last, cache,
+                           [](std::size_t) { return std::vector<Param*>{}; });
   }
 
   std::vector<Param*> params() override {
@@ -96,19 +98,39 @@ class RecurrentClassifier : public Classifier {
             "recurrent classifier: window shape mismatch");
   }
 
-  // The last hidden state, caching every cell for decode_gradient.
-  Matrix encode(const Tensor3& x) {
+  template <typename Cache>  // ForwardCache, const or not
+  static auto& cell_caches(Cache& cache) {
+    if constexpr (std::is_same_v<Cell, LstmLayer>) {
+      return cache.lstm;
+    } else {
+      return cache.gru;
+    }
+  }
+
+  // The last hidden state, recording every cell into `cache` for
+  // decode_gradient.
+  Matrix encode(const Tensor3& x, ForwardCache& cache) const {
     check_shape(x);
+    auto& caches = cell_caches(cache);
+    caches.resize(cells_.size());
     Tensor3 h = x;
-    for (auto& cell : cells_) h = cell->forward(h);
+    for (std::size_t i = 0; i < cells_.size(); ++i) {
+      h = cells_[i]->forward(h, caches[i]);
+    }
     return h.time_slice(h.time() - 1);
   }
 
-  Tensor3 decode_gradient(const Matrix& dh_last, bool accumulate_param_grads) {
+  // BPTT from dLoss/dh_last down through every cell; cell i adds its weight
+  // gradients into grads_of(i) (empty: none).
+  template <typename GradsOf>
+  Tensor3 decode_gradient(const Matrix& dh_last, const ForwardCache& cache,
+                          const GradsOf& grads_of) const {
+    const auto& caches = cell_caches(cache);
     Tensor3 dh(dh_last.rows(), time_steps_, cells_.back()->hidden_size());
     dh.set_time_slice(time_steps_ - 1, dh_last);
-    for (auto it = cells_.rbegin(); it != cells_.rend(); ++it) {
-      dh = (*it)->backward(dh, accumulate_param_grads);
+    for (std::size_t i = cells_.size(); i-- > 0;) {
+      const Cell& cell = *cells_[i];
+      dh = cell.backward(dh, caches[i], grads_of(i));
     }
     return dh;
   }

@@ -3,14 +3,20 @@
 // the loss; the black-box substitute clones the target and transfers.
 #include <gtest/gtest.h>
 
+#include <cstdint>
+#include <cstring>
+
 #include "attack/blackbox.h"
 #include "attack/fgsm.h"
 #include "attack/gaussian.h"
 #include "monitor/features.h"
+#include "nn/gru_classifier.h"
 #include "nn/lstm_classifier.h"
+#include "obs/metrics.h"
 #include "util/contracts.h"
 #include "util/rng.h"
 #include "util/stats.h"
+#include "util/thread_pool.h"
 
 namespace cpsguard::attack {
 namespace {
@@ -208,6 +214,57 @@ TEST_F(FgsmTest, RejectsLabelMismatch) {
   EXPECT_THROW(fgsm_attack(*clf_, x_, too_few, cfg), cpsguard::ContractViolation);
 }
 
+bool same_bits(const nn::Tensor3& a, const nn::Tensor3& b) {
+  return a.batch() == b.batch() && a.time() == b.time() &&
+         a.features() == b.features() &&
+         std::memcmp(a.data().data(), b.data().data(),
+                     a.data().size() * sizeof(float)) == 0;
+}
+
+// fgsm_gradient fans out over nn::kChunkRows-row chunks. On the Fig. 9 test
+// set's 870 rows (six chunks and a 102-row tail) it returns the whole-set
+// gradient bit for bit for every architecture: pooled, serial, and from
+// inside a pool task (where its chunks run inline). Each call counts one
+// gradient, however many chunks it ran.
+TEST(FgsmGradient, ChunkedFanOutMatchesWholeSetGradient) {
+  constexpr int kRows = 870;
+  util::Rng rng(18);
+  std::vector<std::unique_ptr<nn::Classifier>> clfs;
+  clfs.push_back(std::make_unique<nn::MlpClassifier>(
+      6, Features::kNumFeatures, std::vector<int>{256, 128}, 2, rng));
+  clfs.push_back(std::make_unique<nn::LstmClassifier>(
+      6, Features::kNumFeatures, std::vector<int>{128, 64}, 2, rng));
+  clfs.push_back(std::make_unique<nn::GruClassifier>(
+      6, Features::kNumFeatures, std::vector<int>{128, 64}, 2, rng));
+  util::Rng xr(19);
+  const nn::Tensor3 x = random_windows(kRows, 6, xr);
+  std::vector<int> labels(kRows);
+  for (int i = 0; i < kRows; ++i) labels[static_cast<std::size_t>(i)] = i % 3 == 0;
+  const obs::Counter& gradients =
+      obs::Registry::instance().counter("attack.fgsm.gradients");
+
+  std::vector<nn::Tensor3> whole;
+  for (const auto& clf : clfs) {
+    whole.push_back(std::as_const(*clf).loss_input_gradient(x, labels));
+    const std::uint64_t before = gradients.value();
+    EXPECT_TRUE(same_bits(fgsm_gradient(*clf, x, labels), whole.back()))
+        << clf->arch() << " pooled";
+    EXPECT_EQ(gradients.value() - before, 1u) << "one gradient per call";
+    util::set_max_parallelism(1);
+    EXPECT_TRUE(same_bits(fgsm_gradient(*clf, x, labels), whole.back()))
+        << clf->arch() << " serial";
+    util::set_max_parallelism(0);
+  }
+  std::vector<nn::Tensor3> nested(clfs.size());
+  util::parallel_for(static_cast<int>(clfs.size()), [&](int k) {
+    const auto sk = static_cast<std::size_t>(k);
+    nested[sk] = fgsm_gradient(*clfs[sk], x, labels);
+  });
+  for (std::size_t k = 0; k < clfs.size(); ++k) {
+    EXPECT_TRUE(same_bits(nested[k], whole[k])) << clfs[k]->arch() << " nested";
+  }
+}
+
 TEST(SubstituteAttack, ClonesSimpleTargetDecision) {
   // Target: an MLP trained to threshold on BG-feature mean. The substitute
   // must reach high agreement from query access alone.
@@ -255,7 +312,7 @@ TEST(SubstituteAttack, UnfittedOperationsThrow) {
   const nn::Tensor3 x = random_windows(2, 2, rng);
   const std::vector<int> labels = {0, 1};
   EXPECT_THROW(sub.craft(x, labels, FgsmConfig{}), cpsguard::ContractViolation);
-  EXPECT_THROW(sub.substitute(), cpsguard::ContractViolation);
+  EXPECT_THROW((void)sub.substitute(), cpsguard::ContractViolation);
 }
 
 TEST(ToString, MaskNames) {

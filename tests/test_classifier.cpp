@@ -4,6 +4,8 @@
 
 #include <algorithm>
 #include <memory>
+#include <span>
+#include <utility>
 
 #include "nn/gradcheck.h"
 #include "nn/gru_classifier.h"
@@ -141,9 +143,9 @@ TEST(Classifier, InputGradientDoesNotDisturbParams) {
   }
 }
 
-// loss_input_gradient leaves every Param::grad exactly zero, even when
-// the grads held an earlier accumulation: the recurrent cells skip their
-// weight-gradient products and zero_grad() clears the dense head.
+// loss_input_gradient leaves every Param::grad exactly as it was, even when
+// the grads held an earlier accumulation: the const path computes no
+// weight-gradient product anywhere, so nothing needs zeroing afterwards.
 TEST(Classifier, InputGradientLeavesEveryParamGradExactlyZero) {
   util::Rng rng(21);
   std::vector<std::unique_ptr<Classifier>> clfs;
@@ -155,12 +157,19 @@ TEST(Classifier, InputGradientLeavesEveryParamGradExactlyZero) {
   const std::vector<int> labels = {0, 1, 1, 0, 1};
   const SoftmaxCrossEntropy ce;
   for (const auto& clf : clfs) {
-    clf->accumulate_gradients(x, labels, {}, ce);
-    (void)clf->loss_input_gradient(x, labels);
+    (void)std::as_const(*clf).loss_input_gradient(x, labels);
     for (Param* p : clf->params()) {
       for (const float g : p->grad.data()) {
         ASSERT_EQ(g, 0.0f) << clf->arch() << " " << p->name;
       }
+    }
+    clf->accumulate_gradients(x, labels, {}, ce);
+    std::vector<Matrix> accumulated;
+    for (Param* p : clf->params()) accumulated.push_back(p->grad);
+    (void)std::as_const(*clf).loss_input_gradient(x, labels);
+    const auto ps = clf->params();
+    for (std::size_t i = 0; i < ps.size(); ++i) {
+      EXPECT_TRUE(ps[i]->grad == accumulated[i]) << clf->arch() << " " << ps[i]->name;
     }
   }
 }
@@ -173,19 +182,55 @@ void expect_input_only_backward_matches_full() {
   util::Rng xr(24);
   const Tensor3 x = random_tensor(9, 5, 4, xr);
   const Tensor3 dh = random_tensor(9, 5, 6, xr);
-  cell.forward(x);
-  const Tensor3 full = cell.backward(dh);
-  for (Param* p : cell.params()) p->zero_grad();
-  cell.forward(x);
-  const Tensor3 input_only = cell.backward(dh, /*accumulate_param_grads=*/false);
+  typename Cell::Cache cache;
+  cell.forward(x, cache);
+  const Tensor3 input_only = std::as_const(cell).backward(dh, cache, {});
+  for (Param* p : cell.params()) EXPECT_EQ(p->grad.max_abs(), 0.0f) << p->name;
+  const Tensor3 full = cell.backward(dh, cache, cell.params());
   EXPECT_TRUE(std::equal(full.data().begin(), full.data().end(),
                          input_only.data().begin()));
-  for (Param* p : cell.params()) EXPECT_EQ(p->grad.max_abs(), 0.0f) << p->name;
+  for (Param* p : cell.params()) EXPECT_GT(p->grad.max_abs(), 0.0f) << p->name;
 }
 
 TEST(RecurrentCells, InputOnlyBackwardMatchesFullBackward) {
   expect_input_only_backward_matches_full<LstmLayer>();
   expect_input_only_backward_matches_full<GruLayer>();
+}
+
+// The Fig. 9 test set's 870 rows in kChunkRows-row chunks (six full chunks
+// and a 102-row tail), each with the whole set's 1/N: every chunk's rows of
+// dx equal the whole-set gradient's bit for bit. One cache is reused across
+// the chunks, as a pool task reuses its own.
+TEST(Classifier, ChunkedInputGradientIsBitIdenticalToWholeSet) {
+  constexpr int kRows = 870;
+  static_assert(kRows / kChunkRows == 6 && kRows % kChunkRows == 102);
+  util::Rng rng(25);
+  std::vector<std::unique_ptr<Classifier>> clfs;
+  clfs.push_back(std::make_unique<MlpClassifier>(6, 9, std::vector<int>{256, 128}, 2, rng));
+  clfs.push_back(std::make_unique<LstmClassifier>(6, 9, std::vector<int>{128, 64}, 2, rng));
+  clfs.push_back(std::make_unique<GruClassifier>(6, 9, std::vector<int>{128, 64}, 2, rng));
+  util::Rng xr(26);
+  const Tensor3 x = random_tensor(kRows, 6, 9, xr);
+  std::vector<int> labels(kRows);
+  for (int i = 0; i < kRows; ++i) labels[static_cast<std::size_t>(i)] = (i * 7) % 3 == 0;
+  for (const auto& owned : clfs) {
+    const Classifier& clf = *owned;
+    const Tensor3 whole = clf.loss_input_gradient(x, labels);
+    const float inv_n = 1.0f / static_cast<float>(kRows);
+    ForwardCache cache;
+    for (int r0 = 0; r0 < kRows; r0 += kChunkRows) {
+      const int n = std::min(kChunkRows, kRows - r0);
+      std::vector<int> ids(static_cast<std::size_t>(n));
+      for (int i = 0; i < n; ++i) ids[static_cast<std::size_t>(i)] = r0 + i;
+      const Tensor3 part = clf.input_gradient(
+          x.gather(ids), std::span<const int>(labels).subspan(r0, n), inv_n,
+          cache);
+      const auto want = whole.data().subspan(
+          static_cast<std::size_t>(r0) * 6 * 9, part.data().size());
+      EXPECT_TRUE(std::equal(want.begin(), want.end(), part.data().begin()))
+          << clf.arch() << " chunk at row " << r0;
+    }
+  }
 }
 
 TEST(PredictClasses, PicksArgmax) {

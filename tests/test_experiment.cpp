@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <filesystem>
 #include <fstream>
 #include <iterator>
@@ -301,13 +302,14 @@ void expect_sweep_matches(const std::function<std::vector<EvalResult>()>& sweep,
   expect_same_results(pooled, points, what + " sweep vs pointwise");
 }
 
-// The sweep engine predicts each point in kSweepChunkRows-row chunks; the
-// fixture must exercise several chunks and a short tail for the sweep tests
-// below to cover the chunk stitching.
+// The sweep engine predicts each point, and fgsm_gradient differentiates
+// each curve, in nn::kChunkRows-row chunks; the fixture must exercise several
+// chunks and a short tail for the sweep tests below to cover the chunk
+// stitching.
 TEST_F(ExperimentTest, TestSetSpansSeveralSweepChunksWithATail) {
   const int rows = exp_.test_data().size();
-  EXPECT_GT(rows, Experiment::kSweepChunkRows);
-  EXPECT_NE(rows % Experiment::kSweepChunkRows, 0);
+  EXPECT_GT(rows, nn::kChunkRows);
+  EXPECT_NE(rows % nn::kChunkRows, 0);
 }
 
 TEST_F(ExperimentTest, GaussianSweepMatchesPointwise) {
@@ -325,19 +327,25 @@ TEST_F(ExperimentTest, GaussianSweepMatchesPointwise) {
 
 // The FGSM sweep computes one input gradient per curve and applies each ε
 // to it; the pointwise method computes its own. The LSTM runs the input-only
-// BPTT and the SIMD matmul_nt over all five Fig. 9 budgets.
+// BPTT and the SIMD matmul_nt over all five Fig. 9 budgets. Each gradient
+// spans two row chunks and still counts once.
 TEST_F(ExperimentTest, FgsmSweepMatchesPointwise) {
   const std::vector<double> fig9_epsilons = {0.01, 0.05, 0.1, 0.15, 0.2};
   const MonitorVariant lstm{monitor::Arch::kLstm, false};
+  const obs::Counter& gradients =
+      obs::Registry::instance().counter("attack.fgsm.gradients");
   for (const auto& [variant, epsilons] :
        {std::pair{mlp_, std::vector<double>{0.05, 0.2}},
         std::pair{lstm, fig9_epsilons}}) {
+    const std::uint64_t before = gradients.value();
     expect_sweep_matches(
         [&] { return exp_.evaluate_under_fgsm_sweep(variant, epsilons); },
         [&](std::size_t i) {
           return exp_.evaluate_under_fgsm(variant, epsilons[i]);
         },
         variant.name());
+    // Two sweeps (serial and pooled), then one gradient per point.
+    EXPECT_EQ(gradients.value() - before, 2 + epsilons.size()) << variant.name();
   }
 }
 

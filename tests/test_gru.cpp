@@ -23,7 +23,9 @@ Tensor3 random_tensor(int b, int t, int f, util::Rng& rng) {
 TEST(GruLayer, OutputShape) {
   util::Rng rng(1);
   GruLayer gru(5, 8, rng);
-  const Tensor3 y = gru.forward(random_tensor(3, 4, 5, rng));
+  GruLayer::Cache cache;
+  const Tensor3 y = gru.forward(random_tensor(3, 4, 5, rng), cache);
+  EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(y.batch(), 3);
   EXPECT_EQ(y.time(), 4);
   EXPECT_EQ(y.features(), 8);
@@ -34,7 +36,7 @@ TEST(GruLayer, HiddenStatesBounded) {
   GruLayer gru(4, 6, rng);
   Tensor3 x = random_tensor(2, 10, 4, rng);
   x.fill(100.0f);
-  const Tensor3 y = gru.forward(x);
+  const Tensor3 y = gru.infer(x);
   // h is a convex combination of tanh outputs and previous h → |h| <= 1.
   for (float v : y.data()) {
     EXPECT_LE(std::fabs(v), 1.0f + 1e-5f);
@@ -47,9 +49,9 @@ TEST(GruLayer, RemembersEarlyInputs) {
   GruLayer gru(2, 4, rng);
   util::Rng xr(4);
   Tensor3 x = random_tensor(1, 6, 2, xr);
-  const Tensor3 y1 = gru.forward(x);
+  const Tensor3 y1 = gru.infer(x);
   x.at(0, 0, 0) += 2.0f;
-  const Tensor3 y2 = gru.forward(x);
+  const Tensor3 y2 = gru.infer(x);
   double diff = 0.0;
   for (int f = 0; f < 4; ++f) diff += std::fabs(y1.at(0, 5, f) - y2.at(0, 5, f));
   EXPECT_GT(diff, 1e-4);
@@ -60,14 +62,15 @@ TEST(GruLayer, DeterministicForward) {
   GruLayer a(3, 5, rng1), b(3, 5, rng2);
   util::Rng xr(6);
   const Tensor3 x = random_tensor(2, 6, 3, xr);
-  EXPECT_TRUE(a.forward(x) == b.forward(x));
+  EXPECT_TRUE(a.infer(x) == b.infer(x));
 }
 
 TEST(GruLayer, BackwardRequiresForward) {
   util::Rng rng(7);
   GruLayer gru(2, 3, rng);
   Tensor3 dh(1, 2, 3);
-  EXPECT_THROW(gru.backward(dh), ContractViolation);
+  EXPECT_THROW((void)gru.backward(dh, GruLayer::Cache{}, {}),
+               ContractViolation);
 }
 
 TEST(GruLayer, HasFourParams) {

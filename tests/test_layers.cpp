@@ -4,6 +4,7 @@
 
 #include <cmath>
 #include <functional>
+#include <utility>
 
 #include "nn/activations.h"
 #include "nn/dense.h"
@@ -29,13 +30,14 @@ double layer_objective(const Layer& layer, const Matrix& x,
   return static_cast<double>(hadamard(y, w_out).sum());
 }
 
-void check_input_gradient(Layer& layer, int in, util::Rng& rng,
+void check_input_gradient(const Layer& layer, int in, util::Rng& rng,
                           double tol = 2e-2) {
   const Matrix x = random_matrix(3, in, rng);
   const Matrix w_out = random_matrix(3, layer.output_size(), rng);
 
-  layer.forward(x);
-  const Matrix dx = layer.backward(w_out);
+  Matrix cache;
+  layer.forward(x, cache);
+  const Matrix dx = layer.backward(w_out, cache, {});
 
   Matrix probe = x;
   const double eps = 1e-3;
@@ -60,7 +62,8 @@ TEST(Dense, ForwardComputesAffine) {
   auto params = d.params();
   params[0]->value = Matrix::from_rows({{1, 2}, {3, 4}});
   params[1]->value = Matrix::from_rows({{10, 20}});
-  const Matrix y = d.forward(Matrix::from_rows({{1, 1}}));
+  Matrix cache;
+  const Matrix y = d.forward(Matrix::from_rows({{1, 1}}), cache);
   EXPECT_FLOAT_EQ(y.at(0, 0), 1 + 3 + 10);
   EXPECT_FLOAT_EQ(y.at(0, 1), 2 + 4 + 20);
 }
@@ -76,11 +79,12 @@ TEST(Dense, BackwardAccumulatesParamGradients) {
   Dense d(3, 2, rng);
   const Matrix x = random_matrix(4, 3, rng);
   const Matrix dy = random_matrix(4, 2, rng);
-  d.forward(x);
-  d.backward(dy);
+  Matrix cache;
+  d.forward(x, cache);
+  d.backward(dy, cache, d.params());
   const Matrix g1 = d.params()[0]->grad;
-  d.forward(x);
-  d.backward(dy);  // second call without zero_grad accumulates
+  d.forward(x, cache);
+  d.backward(dy, cache, d.params());  // second call without zero_grad accumulates
   const Matrix g2 = d.params()[0]->grad;
   for (int i = 0; i < g1.rows(); ++i) {
     for (int j = 0; j < g1.cols(); ++j) {
@@ -97,8 +101,9 @@ TEST(Dense, WeightGradientMatchesFiniteDifference) {
 
   d.params()[0]->zero_grad();
   d.params()[1]->zero_grad();
-  d.forward(x);
-  d.backward(w_out);
+  Matrix cache;
+  d.forward(x, cache);
+  d.backward(w_out, cache, d.params());
   const Matrix dw = d.params()[0]->grad;
   const Matrix db = d.params()[1]->grad;
 
@@ -129,7 +134,9 @@ TEST(Dense, WeightGradientMatchesFiniteDifference) {
 
 TEST(Relu, ForwardClampsNegatives) {
   Relu r(3);
-  const Matrix y = r.forward(Matrix::from_rows({{-1, 0, 2}}));
+  Matrix cache;
+  const Matrix y = r.forward(Matrix::from_rows({{-1, 0, 2}}), cache);
+  EXPECT_TRUE(cache == y);
   EXPECT_FLOAT_EQ(y.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(y.at(0, 1), 0.0f);
   EXPECT_FLOAT_EQ(y.at(0, 2), 2.0f);
@@ -137,8 +144,9 @@ TEST(Relu, ForwardClampsNegatives) {
 
 TEST(Relu, BackwardMasksGradient) {
   Relu r(2);
-  r.forward(Matrix::from_rows({{-1, 3}}));
-  const Matrix dx = r.backward(Matrix::from_rows({{5, 7}}));
+  Matrix cache;
+  r.forward(Matrix::from_rows({{-1, 3}}), cache);
+  const Matrix dx = r.backward(Matrix::from_rows({{5, 7}}), cache, {});
   EXPECT_FLOAT_EQ(dx.at(0, 0), 0.0f);
   EXPECT_FLOAT_EQ(dx.at(0, 1), 7.0f);
 }
@@ -158,7 +166,9 @@ TEST(FeedForward, ChainsLayersAndValidatesShapes) {
   EXPECT_EQ(net.input_size(), 4);
   EXPECT_EQ(net.output_size(), 2);
   EXPECT_EQ(net.layer_count(), 3u);
-  const Matrix y = net.forward(random_matrix(5, 4, rng));
+  FeedForward::Cache cache;
+  const Matrix y = net.forward(random_matrix(5, 4, rng), cache);
+  EXPECT_EQ(cache.size(), 3u);
   EXPECT_EQ(y.rows(), 5);
   EXPECT_EQ(y.cols(), 2);
 }
@@ -179,8 +189,9 @@ TEST(FeedForward, EndToEndInputGradient) {
 
   const Matrix x = random_matrix(2, 3, rng);
   const Matrix w_out = random_matrix(2, 2, rng);
-  net.forward(x);
-  const Matrix dx = net.backward(w_out);
+  FeedForward::Cache cache;
+  net.forward(x, cache);
+  const Matrix dx = net.backward(w_out, cache, net.params());
 
   const double eps = 1e-3;
   Matrix probe = x;
@@ -195,6 +206,37 @@ TEST(FeedForward, EndToEndInputGradient) {
       EXPECT_NEAR(dx.at(i, j), (lp - lm) / (2 * eps), 2e-2);
     }
   }
+}
+
+// The input-only backward (no grads) returns the same dx bits as the one
+// that accumulates, and leaves every Param::grad untouched.
+TEST(FeedForward, InputOnlyBackwardMatchesFullAndWritesNoGrad) {
+  util::Rng rng(16);
+  FeedForward net;
+  net.add(std::make_unique<Dense>(5, 7, rng));
+  net.add(std::make_unique<Relu>(7));
+  net.add(std::make_unique<Dense>(7, 3, rng));
+  const Matrix x = random_matrix(4, 5, rng);
+  const Matrix dy = random_matrix(4, 3, rng);
+  FeedForward::Cache cache;
+  net.forward(x, cache);
+  const Matrix input_only = std::as_const(net).backward(dy, cache, {});
+  for (const Param* p : net.params()) EXPECT_EQ(p->grad.max_abs(), 0.0f);
+  const Matrix full = net.backward(dy, cache, net.params());
+  EXPECT_TRUE(input_only == full);
+  EXPECT_GT(net.params()[0]->grad.max_abs(), 0.0f);
+}
+
+// A backward only writes into the Param pointers of its own layer.
+TEST(Dense, BackwardRejectsAnotherLayersParams) {
+  util::Rng rng(17);
+  Dense a(3, 2, rng);
+  Dense b(3, 2, rng);
+  Matrix cache;
+  a.forward(random_matrix(2, 3, rng), cache);
+  const Matrix dy = random_matrix(2, 2, rng);
+  EXPECT_THROW((void)a.backward(dy, cache, b.params()), ContractViolation);
+  for (const Param* p : b.params()) EXPECT_EQ(p->grad.max_abs(), 0.0f);
 }
 
 TEST(Init, GlorotWithinLimit) {

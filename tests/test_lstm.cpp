@@ -24,7 +24,9 @@ Tensor3 random_tensor(int b, int t, int f, util::Rng& rng) {
 TEST(LstmLayer, OutputShape) {
   util::Rng rng(1);
   LstmLayer lstm(5, 8, rng);
-  const Tensor3 y = lstm.forward(random_tensor(3, 4, 5, rng));
+  LstmLayer::Cache cache;
+  const Tensor3 y = lstm.forward(random_tensor(3, 4, 5, rng), cache);
+  EXPECT_EQ(cache.size(), 4u);
   EXPECT_EQ(y.batch(), 3);
   EXPECT_EQ(y.time(), 4);
   EXPECT_EQ(y.features(), 8);
@@ -80,7 +82,8 @@ TEST(LstmLayer, BackwardRequiresForward) {
   util::Rng rng(8);
   LstmLayer lstm(2, 3, rng);
   Tensor3 dh(1, 2, 3);
-  EXPECT_THROW(lstm.backward(dh), ContractViolation);
+  EXPECT_THROW((void)lstm.backward(dh, LstmLayer::Cache{}, {}),
+               ContractViolation);
 }
 
 TEST(LstmClassifier, ProbabilitiesWellFormed) {

@@ -235,18 +235,24 @@ TEST(MlMonitor, SharedConstMonitorScoresConcurrently) {
   std::filesystem::remove_all(dir);
 }
 
-// A const inference call on a different batch, made between a caching
-// forward and its backward, leaves the backward's input gradient and
-// parameter gradients bit-identical — inference no longer shares the
-// training caches.
-template <typename Net, typename X, typename G>
+// A const inference call and a second recording forward on a different
+// batch, made between a forward and its backward, leave the backward's input
+// gradient and parameter gradients bit-identical: each forward records into
+// the cache its caller owns, and the layers hold none.
+template <typename Net, typename Cache, typename X, typename G>
 void expect_infer_leaves_backward(Net& net, const X& xa, const X& xb,
                                   const G& dy) {
   const auto run = [&](bool interleave) {
     for (nn::Param* p : net.params()) p->zero_grad();
-    net.forward(xa);
-    if (interleave) (void)net.infer(xb);
-    std::vector<std::uint32_t> out = bits(net.backward(dy).data());
+    Cache cache;
+    net.forward(xa, cache);
+    if (interleave) {
+      (void)net.infer(xb);
+      Cache other;
+      (void)net.forward(xb, other);
+    }
+    std::vector<std::uint32_t> out =
+        bits(net.backward(dy, cache, net.params()).data());
     for (nn::Param* p : net.params()) {
       const std::vector<std::uint32_t> g = bits(std::as_const(p->grad).data());
       out.insert(out.end(), g.begin(), g.end());
@@ -267,51 +273,68 @@ TEST(MlMonitor, InferenceBetweenForwardAndBackwardLeavesGradientsIntact) {
   const nn::Tensor3 xa = tensor(3, 6, 9);
   const nn::Tensor3 xb = tensor(5, 6, 9);
   nn::LstmLayer lstm(9, 16, rng);
-  expect_infer_leaves_backward(lstm, xa, xb, tensor(3, 6, 16));
+  expect_infer_leaves_backward<nn::LstmLayer, nn::LstmLayer::Cache>(
+      lstm, xa, xb, tensor(3, 6, 16));
   nn::GruLayer gru(9, 16, rng);
-  expect_infer_leaves_backward(gru, xa, xb, tensor(3, 6, 16));
+  expect_infer_leaves_backward<nn::GruLayer, nn::GruLayer::Cache>(
+      gru, xa, xb, tensor(3, 6, 16));
   nn::FeedForward mlp;
   mlp.add(std::make_unique<nn::Dense>(54, 16, rng));
   mlp.add(std::make_unique<nn::Relu>(16));
   mlp.add(std::make_unique<nn::Dense>(16, 2, rng));
-  expect_infer_leaves_backward(mlp, xa.flatten(), xb.flatten(),
-                               tensor(3, 1, 2).flatten());
+  expect_infer_leaves_backward<nn::FeedForward, nn::FeedForward::Cache>(
+      mlp, xa.flatten(), xb.flatten(), tensor(3, 1, 2).flatten());
 }
 
-// The same through a whole monitor: threads scoring other windows on the
-// shared monitor while loss_input_gradient runs (its forward and backward
-// straddle their predict calls) leave the FGSM input gradient bit-identical.
+// Concurrent input gradients and predicts on one const classifier: threads
+// taking gradients of different batches, each with its own cache, beside
+// threads scoring the whole set, all return the bits a serial run returns.
 TEST(MlMonitor, ConcurrentScoringLeavesInputGradientIntact) {
   const Dataset ds = small_dataset(11);
   MlMonitor mon(fast_config(Arch::kLstm, false));
   mon.train(ds);
+  const nn::Classifier& clf = std::as_const(mon).classifier();
   const nn::Tensor3 scaled = mon.scaler().transform(ds.x);
-  const std::vector<int> head = {0, 1, 2, 3, 4, 5, 6, 7};
-  const nn::Tensor3 xa = scaled.gather(head);
-  const std::vector<int> labels(head.size(), 1);
-  const std::vector<std::uint32_t> reference =
-      bits(mon.classifier().loss_input_gradient(xa, labels).data());
+  constexpr int kGradThreads = 3;
+  std::vector<nn::Tensor3> batches;
+  std::vector<std::vector<int>> labels;
+  std::vector<std::vector<std::uint32_t>> reference;
+  for (int k = 0; k < kGradThreads; ++k) {
+    std::vector<int> rows;
+    for (int i = k; i < scaled.batch(); i += kGradThreads) rows.push_back(i);
+    batches.push_back(scaled.gather(rows));
+    labels.emplace_back(rows.size(), k % 2);
+    reference.push_back(
+        bits(clf.loss_input_gradient(batches.back(), labels.back()).data()));
+  }
+  const std::vector<std::uint32_t> probs_reference =
+      bits(clf.predict_proba(scaled).data());
 
-  std::atomic<bool> stop{false};
-  std::vector<std::thread> readers;
-  for (int k = 0; k < 3; ++k) {
-    readers.emplace_back([&] {
-      while (!stop.load()) (void)mon.predict_proba_scaled(scaled);
+  std::atomic<int> mismatches{0};
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kGradThreads; ++k) {
+    threads.emplace_back([&, k] {
+      const auto ki = static_cast<std::size_t>(k);
+      const float inv_batch = 1.0f / static_cast<float>(batches[ki].batch());
+      nn::ForwardCache cache;
+      for (int rep = 0; rep < 20; ++rep) {
+        const nn::Tensor3 grad =
+            clf.input_gradient(batches[ki], labels[ki], inv_batch, cache);
+        if (bits(grad.data()) != reference[ki]) ++mismatches;
+      }
     });
   }
-  int mismatches = 0;
-  for (int rep = 0; rep < 200; ++rep) {
-    try {
-      const nn::Tensor3 grad =
-          mon.classifier().loss_input_gradient(xa, labels);
-      if (bits(grad.data()) != reference) ++mismatches;
-    } catch (const std::exception&) {
-      ++mismatches;  // a clobbered cache can also fail a shape contract
-    }
+  for (int k = 0; k < 2; ++k) {
+    threads.emplace_back([&] {
+      for (int rep = 0; rep < 20; ++rep) {
+        if (bits(clf.predict_proba(scaled).data()) != probs_reference) {
+          ++mismatches;
+        }
+      }
+    });
   }
-  stop.store(true);
-  for (auto& t : readers) t.join();
-  EXPECT_EQ(mismatches, 0);
+  for (auto& t : threads) t.join();
+  EXPECT_EQ(mismatches.load(), 0);
 }
 
 TEST(MlMonitor, RejectsBadConfig) {

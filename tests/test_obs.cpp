@@ -13,6 +13,9 @@
 #include <thread>
 #include <vector>
 
+#include <openssl/crypto.h>
+#include <openssl/opensslv.h>
+
 #include "obs/events.h"
 #include "obs/manifest.h"
 #include "obs/metrics.h"
@@ -198,6 +201,19 @@ TEST(Sha256, FileHashMatchesStringHash) {
   EXPECT_EQ(sha256_file_hex(p.string()), sha256_hex(std::string{"abc"}));
   fs::remove(p);
   EXPECT_THROW((void)sha256_file_hex(p.string()), std::runtime_error);
+}
+
+// The libcrypto the binary loads at run time is the release its headers
+// came from (major, minor and patch; the status nibble is ignored). A test
+// binary whose RUNPATH points at another prefix's libcrypto.so.3 would
+// exercise a different SHA-256 than the benches and tools do.
+TEST(Sha256, LinkedLibcryptoMatchesHeaders) {
+  const auto release = [](unsigned long v) {
+    return std::to_string(v >> 28) + "." + std::to_string((v >> 20) & 0xffUL) +
+           "." + std::to_string((v >> 4) & 0xffUL);
+  };
+  EXPECT_EQ(release(OpenSSL_version_num()), release(OPENSSL_VERSION_NUMBER))
+      << "loaded " << OpenSSL_version(OPENSSL_VERSION);
 }
 
 TEST(Events, DisabledMacroDoesNotEvaluateArguments) {
