@@ -50,8 +50,7 @@ int main(int argc, char** argv) {
 
     for (const auto& v : core::all_variants()) {
       auto& mon = exp.monitor(v);
-      // Chunk-parallel over the test batch; bit-identical to a single call.
-      const nn::Matrix probs = eval::batched_predict_proba(mon, test.x);
+      const nn::Matrix probs = mon.predict_proba(test.x);
       std::vector<double> scores(static_cast<std::size_t>(probs.rows()));
       for (int i = 0; i < probs.rows(); ++i) {
         scores[static_cast<std::size_t>(i)] = probs.at(i, 1);

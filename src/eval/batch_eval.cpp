@@ -24,11 +24,6 @@ int argmax_row(std::span<const float> probs) {
   return best;
 }
 
-nn::Matrix batched_predict_proba(const monitor::MlMonitor& mon,
-                                 const nn::Tensor3& raw_windows) {
-  return mon.predict_proba(raw_windows);
-}
-
 nn::Matrix batched_predict_proba_scaled(const monitor::MlMonitor& mon,
                                         const nn::Tensor3& scaled_windows) {
   return mon.predict_proba_scaled(scaled_windows);

@@ -4,9 +4,11 @@
 // forward pass is independent of its batch neighbours (matmul rows, ReLU,
 // softmax and the recurrent time loops are all row-local), so any split of
 // the batch — serve's partial flushes included — produces bit-identical
-// rows; the large products inside the forward pass already fan out across
-// the shared pool. Inference is const, so callers on several threads may
-// share one monitor.
+// rows. An MLP batch large enough to be worth it fans out once across the
+// shared pool, one 16-row block per task running the whole layer stack;
+// otherwise the large products inside the forward pass fan out on their
+// own. Inference is const, so callers on several threads may share one
+// monitor.
 #pragma once
 
 #include <span>
@@ -27,13 +29,9 @@ namespace cpsguard::eval {
 ///     contract, never accept-then-misclassify).
 int argmax_row(std::span<const float> probs);
 
-/// Class probabilities for every window: `mon.predict_proba(raw_windows)`.
-nn::Matrix batched_predict_proba(const monitor::MlMonitor& mon,
-                                 const nn::Tensor3& raw_windows);
-
-/// Same, for windows already in the scaled model space (the streaming
-/// engine scales each window as it stages it into the micro-batch):
-/// `mon.predict_proba_scaled(scaled_windows)`.
+/// Class probabilities for windows already in the scaled model space (the
+/// streaming engine scales each window as it stages it into the
+/// micro-batch): `mon.predict_proba_scaled(scaled_windows)`.
 nn::Matrix batched_predict_proba_scaled(const monitor::MlMonitor& mon,
                                         const nn::Tensor3& scaled_windows);
 

@@ -14,9 +14,11 @@
 //     (the kernels reproduce the ports' NaN payloads). One case is one
 //     65 536-pattern block of the float bit space, visited in a seeded
 //     permutation of all 2^16 blocks, so --cases=65536 is exhaustive;
-//   batched_predict — eval::batched_predict_proba on a random batch vs.
-//     each window predicted alone on the same trained monitor,
-//     bit-identical (row locality);
+//   batched_predict — predict_proba on a random batch vs. each window
+//     predicted alone, bit-identical (row locality). Cases alternate
+//     between a small trained monitor on simulator windows and a randomly
+//     initialised paper-size MLP on batches of up to 300 random windows,
+//     which reach the row-block fan-out of FeedForward::infer;
 //   cusum — streaming CusumDetector vs. a from-scratch batch recompute,
 //     bit-identical sums and alarm index;
 //   pr_curve — precision_recall_curve / average_precision vs. an O(n²)

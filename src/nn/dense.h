@@ -23,6 +23,9 @@ class Dense : public Layer {
                   std::span<Param* const> grads) const override;
   std::vector<Param*> params() override;
   [[nodiscard]] std::size_t param_count() const override { return 2; }
+  [[nodiscard]] double flops_per_row() const override {
+    return 2.0 * input_size() * output_size();
+  }
 
   [[nodiscard]] std::string name() const override { return "Dense"; }
   [[nodiscard]] int input_size() const override { return w_.value.rows(); }

@@ -1,5 +1,8 @@
 #include "nn/feedforward.h"
 
+#include <algorithm>
+
+#include "nn/row_blocks.h"
 #include "util/contracts.h"
 
 namespace cpsguard::nn {
@@ -15,9 +18,24 @@ void FeedForward::add(std::unique_ptr<Layer> layer) {
 
 Matrix FeedForward::infer(const Matrix& x) const {
   expects(!layers_.empty(), "network has no layers");
-  Matrix h = x;
-  for (const auto& layer : layers_) h = layer->infer(h);
-  return h;
+  double flops_per_row = 0.0;
+  for (const auto& layer : layers_) flops_per_row += layer->flops_per_row();
+  const auto in = static_cast<std::size_t>(x.cols());
+  const auto out = static_cast<std::size_t>(output_size());
+  Matrix y(x.rows(), output_size());
+  // A stack worth one fan-out gets exactly one: each row block runs every
+  // layer on one thread, its matmuls inline, so the bias adds and ReLUs run
+  // in parallel too and each block's intermediates stay small. Rows are
+  // independent, so the split never changes a bit.
+  for_row_blocks(x.rows(), flops_per_row, [&](int r0, int r1) {
+    const auto rows = x.data().subspan(static_cast<std::size_t>(r0) * in,
+                                       static_cast<std::size_t>(r1 - r0) * in);
+    Matrix h(r1 - r0, x.cols(), std::vector<float>(rows.begin(), rows.end()));
+    for (const auto& layer : layers_) h = layer->infer(h);
+    std::copy(h.data().begin(), h.data().end(),
+              y.data().begin() + static_cast<std::ptrdiff_t>(r0 * out));
+  });
+  return y;
 }
 
 Matrix FeedForward::forward(const Matrix& x, Cache& cache) const {

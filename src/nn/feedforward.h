@@ -19,7 +19,10 @@ class FeedForward {
   /// Append a layer; its input size must match the current output size.
   void add(std::unique_ptr<Layer> layer);
 
-  /// Inference through all layers; records nothing.
+  /// Inference through all layers; records nothing. When the whole stack
+  /// passes the fan-out rule (nn/row_blocks.h) it makes one pool fan-out
+  /// over row blocks, each running every layer; otherwise the layers run
+  /// in turn over the whole batch. Bit-identical either way.
   [[nodiscard]] Matrix infer(const Matrix& x) const;
 
   /// Forward through all layers, recording each layer's cache in `cache`.

@@ -54,6 +54,9 @@ class Layer {
   virtual std::vector<Param*> params() { return {}; }
   /// params().size(), without write access.
   [[nodiscard]] virtual std::size_t param_count() const { return 0; }
+  /// Matmul flops infer spends per input row (2 per multiply-add); 0 for a
+  /// layer without a product. FeedForward::infer's fan-out rule sums them.
+  [[nodiscard]] virtual double flops_per_row() const { return 0.0; }
 
   [[nodiscard]] virtual std::string name() const = 0;
   [[nodiscard]] virtual int input_size() const = 0;

@@ -2,11 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <thread>
 
+#include "nn/row_blocks.h"
 #include "nn/simd_kernels.h"
 #include "util/contracts.h"
-#include "util/thread_pool.h"
 
 namespace cpsguard::nn {
 
@@ -153,38 +152,15 @@ bool operator==(const Matrix& a, const Matrix& b) {
 // push NaN through the monitor path.
 //
 // Large products additionally shard their output rows across the shared
-// thread pool. Rows are computed independently and each element's reduction
-// order never depends on the shard split, so parallel results stay
-// bit-identical to serial ones.
+// thread pool (the rule in nn/row_blocks.h); called from inside a parallel
+// region, such as a FeedForward::infer row block, they run inline. Rows are
+// computed independently and each element's reduction order never depends
+// on the shard split, so parallel results stay bit-identical to serial ones.
 
 namespace {
 
-// Parallelize only when the arithmetic dwarfs the fan-out overhead and the
-// machine actually has cores to use. ~4M flops is ~0.1 ms of kernel time.
-constexpr double kParallelFlopThreshold = 4.0e6;
-constexpr int kRowsPerShard = 16;
 // Fewest A rows for which matmul_nt stages Bᵀ for the SIMD kernel.
 constexpr int kStageTransposeMinRows = 2;
-
-bool worth_parallelizing(int n, int k, int m) {
-  return 2.0 * n * k * m >= kParallelFlopThreshold && n >= 2 * kRowsPerShard &&
-         std::thread::hardware_concurrency() > 1;
-}
-
-// Run fn over [0, rows) in contiguous row blocks, in parallel when the
-// product is large enough (fn(r0, r1) computes output rows [r0, r1)).
-template <typename Fn>
-void for_row_blocks(int rows, int k, int m, Fn&& fn) {
-  if (!worth_parallelizing(rows, k, m) || util::in_parallel_region()) {
-    fn(0, rows);
-    return;
-  }
-  const int blocks = (rows + kRowsPerShard - 1) / kRowsPerShard;
-  util::parallel_for(blocks, [&](int blk) {
-    const int r0 = blk * kRowsPerShard;
-    fn(r0, std::min(rows, r0 + kRowsPerShard));
-  });
-}
 
 // C[i0..i1) += A[i0..i1) * B for row-major A (n x k), B (k x m), C (n x m).
 // 4x4 (rows x reduction) tile; the j loop vectorizes. Per-element order:
@@ -354,7 +330,7 @@ Matrix matmul(const Matrix& a, const Matrix& b) {
   // Bit-identical by contract (ascending-p mul-then-add, no contraction),
   // so dispatching on CPU width never moves a golden.
   const MatmulRowsFn simd = simd_matmul_rows();
-  for_row_blocks(n, k, m, [&](int r0, int r1) {
+  for_row_blocks(n, 2.0 * k * m, [&](int r0, int r1) {
     if (simd) {
       simd(ad, bd, cd, r0, r1, k, m);
     } else {
@@ -371,7 +347,7 @@ Matrix matmul_tn(const Matrix& a, const Matrix& b) {
   const float* ad = a.data().data();
   const float* bd = b.data().data();
   float* cd = c.data().data();
-  for_row_blocks(k, n, m, [&](int p0, int p1) {
+  for_row_blocks(k, 2.0 * n * m, [&](int p0, int p1) {
     matmul_tn_rows(ad, bd, cd, p0, p1, n, k, m);
   });
   return c;
@@ -405,12 +381,12 @@ Matrix matmul_nt(const Matrix& a, const Matrix& b) {
     }
     // Workers see their own `bt`, so hand them the caller's storage.
     const float* btd = bt.data();
-    for_row_blocks(n, k, m, [&](int r0, int r1) {
+    for_row_blocks(n, 2.0 * k * m, [&](int r0, int r1) {
       simd(ad, btd, cd, r0, r1, k, m, ldb);
     });
     return c;
   }
-  for_row_blocks(n, k, m, [&](int r0, int r1) {
+  for_row_blocks(n, 2.0 * k * m, [&](int r0, int r1) {
     matmul_nt_rows(ad, bd, cd, r0, r1, k, m);
   });
   return c;

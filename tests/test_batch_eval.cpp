@@ -104,7 +104,7 @@ TEST(BatchedPredict, NanWindowRejectedByContract) {
   windows.at(1, 0, 0) = kNan;  // propagates through scaler + tanh/sigmoid
   // The probability surface itself may carry NaN (predict_proba is the
   // attack/diagnostic surface) ...
-  const nn::Matrix probs = eval::batched_predict_proba(mon, windows);
+  const nn::Matrix probs = mon.predict_proba(windows);
   EXPECT_TRUE(std::isnan(probs.at(1, 0)) || std::isnan(probs.at(1, 1)));
   // ... but classification must refuse it, not silently emit class 0.
   EXPECT_THROW(eval::batched_predict(mon, windows), CpsError);
@@ -127,14 +127,14 @@ TEST(BatchedPredict, SerialConfigurationDoesNotInstantiatePool) {
   const std::vector<int> one = {0};
   const nn::Tensor3 single = ds.x.gather(one);
   for (int i = 0; i < 3; ++i) {
-    eval::batched_predict_proba(mon, single);
+    (void)mon.predict_proba(single);
   }
   EXPECT_FALSE(util::shared_pool_initialized());
 
   // With parallelism capped to 1 (a serial --threads 1 run) a whole-set
   // prediction must not force-start the process-wide pool either.
   util::set_max_parallelism(1);
-  eval::batched_predict_proba(mon, ds.x);
+  (void)mon.predict_proba(ds.x);
   EXPECT_FALSE(util::shared_pool_initialized())
       << "a serial prediction instantiated the shared pool";
   util::set_max_parallelism(0);

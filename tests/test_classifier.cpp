@@ -2,16 +2,27 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+
 #include <algorithm>
+#include <cmath>
+#include <cstdint>
+#include <cstring>
+#include <limits>
 #include <memory>
+#include <numeric>
 #include <span>
+#include <thread>
 #include <utility>
 
 #include "nn/gradcheck.h"
 #include "nn/gru_classifier.h"
 #include "nn/lstm_classifier.h"
+#include "nn/simd_kernels.h"
+#include "obs/metrics.h"
 #include "util/contracts.h"
 #include "util/rng.h"
+#include "util/thread_pool.h"
 
 namespace cpsguard::nn {
 namespace {
@@ -231,6 +242,91 @@ TEST(Classifier, ChunkedInputGradientIsBitIdenticalToWholeSet) {
           << clf.arch() << " chunk at row " << r0;
     }
   }
+}
+
+std::vector<std::uint32_t> bits(std::span<const float> v) {
+  std::vector<std::uint32_t> out(v.size());
+  std::memcpy(out.data(), v.data(), v.size() * sizeof(float));
+  return out;
+}
+
+// Sets the process-wide parallelism cap for one scope.
+struct ScopedParallelism {
+  explicit ScopedParallelism(std::size_t n) { util::set_max_parallelism(n); }
+  ~ScopedParallelism() { util::set_max_parallelism(0); }
+  ScopedParallelism(const ScopedParallelism&) = delete;
+  ScopedParallelism& operator=(const ScopedParallelism&) = delete;
+};
+
+// The paper-size MLP spends 2·(54·256 + 256·128 + 128·2) = 93 696 matmul
+// flops per row, so its Dense-ReLU stack passes the fan-out rule from 43
+// rows (42 stays on the per-layer path) and never below 2·kRowsPerShard =
+// 32. Every batch size around those edges, under every SIMD kernel set and
+// parallelism cap, gives each row exactly the bits it gets alone. A NaN
+// input row reaches only its own row (where ReLU maps the NaN hidden units
+// to 0, so the row it gets alone is finite).
+TEST(MlpClassifier, RowBlockFanOutIsBitIdenticalToEachRowAlone) {
+  constexpr int kRows = 870;
+  constexpr int kNanRow = 37;
+  util::Rng rng(41);
+  const MlpClassifier clf(6, 9, {256, 128}, 2, rng);
+  util::Rng xr(42);
+  Tensor3 x = random_tensor(kRows, 6, 9, xr);
+  x.at(kNanRow, 2, 4) = std::numeric_limits<float>::quiet_NaN();
+  const obs::Counter& fan_outs =
+      obs::Registry::instance().counter("parallel_for.calls");
+  for (const SimdKernels& kernels : supported_simd_kernels()) {
+    SCOPED_TRACE(kernels.name);
+    const ScopedSimdKernels use(kernels);
+    std::vector<Matrix> alone;
+    for (int r = 0; r < kRows; ++r) {
+      const int one[] = {r};
+      alone.push_back(clf.predict_proba(x.gather(one)));
+    }
+    for (const std::size_t threads : {1, 2, 4}) {
+      const ScopedParallelism cap(threads);
+      for (const int n : {1, 31, 32, 33, 42, 43, 256, 257, 870}) {
+        std::vector<int> ids(static_cast<std::size_t>(n));
+        std::iota(ids.begin(), ids.end(), 0);
+        const std::uint64_t before = fan_outs.value();
+        const Matrix batch = clf.predict_proba(x.gather(ids));
+        if (threads > 1 && std::thread::hardware_concurrency() > 1) {
+          // One fan-out for the whole stack, none per layer.
+          EXPECT_EQ(fan_outs.value() - before, n >= 43 ? 1u : 0u)
+              << threads << " threads, n = " << n;
+        }
+        ASSERT_EQ(batch.rows(), n);
+        for (int r = 0; r < n; ++r) {
+          ASSERT_EQ(bits(batch.row(r)), bits(alone[static_cast<std::size_t>(r)].row(0)))
+              << threads << " threads, n = " << n << ", row " << r;
+        }
+      }
+    }
+  }
+}
+
+// Allocator reuse: a warm 256-row predict, fanned out over two threads,
+// allocates only small per-block intermediates that the heap hands back
+// without fresh pages. Counts the minor faults of this process only.
+TEST(MlpClassifier, WarmFullBatchPredictTakesNoPageFaults) {
+#if defined(__SANITIZE_ADDRESS__) || defined(__SANITIZE_THREAD__)
+  GTEST_SKIP() << "a sanitizer allocator quarantines freed blocks";
+#endif
+  util::Rng rng(43);
+  const MlpClassifier clf(6, 9, {256, 128}, 2, rng);
+  util::Rng xr(44);
+  const Tensor3 x = random_tensor(256, 6, 9, xr);
+  const ScopedParallelism cap(2);
+  for (int i = 0; i < 50; ++i) (void)clf.predict_proba(x);
+  const auto minor_faults = [] {
+    rusage ru{};
+    getrusage(RUSAGE_SELF, &ru);
+    return ru.ru_minflt;
+  };
+  constexpr int kPredicts = 200;
+  const long before = minor_faults();
+  for (int i = 0; i < kPredicts; ++i) (void)clf.predict_proba(x);
+  EXPECT_LT(minor_faults() - before, kPredicts);
 }
 
 TEST(PredictClasses, PicksArgmax) {

@@ -169,7 +169,7 @@ TEST(BatchEval, ChunkedPredictProbaMatchesSingleCall) {
   const Dataset ds = small_dataset(9);
   MlMonitor mon(fast_config(Arch::kMlp, false));
   mon.train(ds);
-  const nn::Matrix whole = eval::batched_predict_proba(mon, ds.x);
+  const nn::Matrix whole = mon.predict_proba(ds.x);
   // Row locality: predicting the set in chunks of 8 windows (as serve's
   // partial flushes do) reproduces the one-shot rows bit for bit.
   for (int b0 = 0; b0 < ds.size(); b0 += 8) {
@@ -233,6 +233,46 @@ TEST(MlMonitor, SharedConstMonitorScoresConcurrently) {
     }
   }
   std::filesystem::remove_all(dir);
+}
+
+// Four threads share one paper-size MLP monitor and each scores 256+-row
+// batches, so every call makes its own row-block fan-out on the shared pool,
+// each block running its matmuls inline: results equal serial calls bit for
+// bit.
+TEST(MlMonitor, SharedPaperMlpScoresFullBatchesConcurrently) {
+  const Dataset ds = small_dataset(11);
+  MonitorConfig cfg = fast_config(Arch::kMlp, false);
+  cfg.hidden = {};  // the paper's 256-128
+  cfg.epochs = 1;
+  MlMonitor mon(cfg);
+  mon.train(ds);
+  const nn::Tensor3 scaled = mon.scaler().transform(ds.x);
+  constexpr int kThreads = 4;
+  std::vector<nn::Tensor3> batches;
+  std::vector<nn::Matrix> serial;
+  for (int k = 0; k < kThreads; ++k) {
+    std::vector<int> idx(static_cast<std::size_t>(256 + 37 * k));
+    for (std::size_t i = 0; i < idx.size(); ++i) {
+      idx[i] = static_cast<int>((i * static_cast<std::size_t>(k + 1)) %
+                                static_cast<std::size_t>(scaled.batch()));
+    }
+    batches.push_back(scaled.gather(idx));
+    serial.push_back(mon.predict_proba_scaled(batches.back()));
+  }
+  std::vector<nn::Matrix> got(kThreads);
+  std::vector<std::thread> threads;
+  for (int k = 0; k < kThreads; ++k) {
+    threads.emplace_back([&, k] {
+      const auto ki = static_cast<std::size_t>(k);
+      for (int rep = 0; rep < 3; ++rep) {
+        got[ki] = mon.predict_proba_scaled(batches[ki]);
+      }
+    });
+  }
+  for (auto& t : threads) t.join();
+  for (std::size_t k = 0; k < kThreads; ++k) {
+    EXPECT_EQ(bits(got[k].data()), bits(serial[k].data())) << "thread " << k;
+  }
 }
 
 // A const inference call and a second recording forward on a different
