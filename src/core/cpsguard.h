@@ -48,7 +48,6 @@
 #include "nn/serialize.h"
 #include "safety/cusum.h"
 #include "safety/hazard.h"
-#include "safety/rule_coverage.h"
 #include "safety/rule_monitor.h"
 #include "safety/rules_aps.h"
 #include "safety/stl.h"

@@ -1,6 +1,7 @@
 #include "core/online_monitor.h"
 
 #include "monitor/features.h"
+#include "nn/matrix.h"
 #include "util/contracts.h"
 
 namespace cpsguard::core {
@@ -21,11 +22,16 @@ OnlineVerdict OnlineMonitor::step(const sim::StepRecord& record) {
   OnlineVerdict verdict;
   if (!ring_.full()) return verdict;
 
+  // Scale in place, as serve stages a window, so the rule judges exactly
+  // the input the model scored.
   ring_.copy_ordered(x_.data());
-  const nn::Matrix probs = monitor_.predict_proba(x_);
+  for (int t = 0; t < x_.time(); ++t) {
+    monitor_.scaler().transform_row(x_.row(0, t));
+  }
+  const nn::Matrix probs = monitor_.predict_proba_scaled(x_);
   verdict.ready = true;
   verdict.p_unsafe = probs.at(0, 1);
-  verdict.prediction = probs.at(0, 1) > probs.at(0, 0) ? 1 : 0;
+  verdict.prediction = nn::decide(x_.window(0), probs.row(0));
   return verdict;
 }
 

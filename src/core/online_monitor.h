@@ -18,7 +18,8 @@ namespace cpsguard::core {
 
 struct OnlineVerdict {
   bool ready = false;       // false until the window has filled
-  int prediction = 0;       // 1 = unsafe control action
+  int prediction = 0;       // nn::decide: 1 = unsafe control action, 0 =
+                            // safe, nn::kNoVerdict on non-finite input
   double p_unsafe = 0.0;    // monitor confidence
 };
 
@@ -41,7 +42,7 @@ class OnlineMonitor {
   const monitor::MlMonitor& monitor_;
   int cycles_seen_ = 0;
   serve::RingWindow ring_;
-  nn::Tensor3 x_;  // reused (1, window, features) inference input
+  nn::Tensor3 x_;  // reused (1, window, features) scaled inference input
 };
 
 }  // namespace cpsguard::core

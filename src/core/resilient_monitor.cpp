@@ -3,6 +3,7 @@
 #include <cmath>
 
 #include "monitor/features.h"
+#include "nn/matrix.h"
 #include "util/contracts.h"
 
 namespace cpsguard::core {
@@ -88,14 +89,21 @@ void ResilientMonitor::push_history(const sim::StepRecord& r) {
   history_.commit();
 }
 
-ResilientVerdict ResilientMonitor::ml_verdict() {
+ResilientVerdict ResilientMonitor::ml_verdict(const sim::StepRecord& r) {
   ResilientVerdict v;
   if (!history_.full()) return v;
   history_.copy_ordered(x_.data());
-  const nn::Matrix probs = ml_.predict_proba(x_);
+  for (int t = 0; t < x_.time(); ++t) {
+    ml_.scaler().transform_row(x_.row(0, t));
+  }
+  const nn::Matrix probs = ml_.predict_proba_scaled(x_);
+  const int prediction = nn::decide(x_.window(0), probs.row(0));
+  // A feature the validator does not check (e.g. the commanded rate) can
+  // still be non-finite: judge this cycle by Table I instead.
+  if (prediction == nn::kNoVerdict) return rule_verdict(r);
   v.ready = true;
   v.p_unsafe = probs.at(0, 1);
-  v.prediction = probs.at(0, 1) > probs.at(0, 0) ? 1 : 0;
+  v.prediction = prediction;
   return v;
 }
 
@@ -140,7 +148,7 @@ ResilientVerdict ResilientMonitor::step(const sim::StepRecord& record) {
     case MonitorState::kMlActive:
       if (valid) {
         push_history(record);
-        v = ml_verdict();
+        v = ml_verdict(record);
       } else {
         enter_degraded();
         // The current sample is untrustworthy; judge the last good context.
@@ -164,7 +172,7 @@ ResilientVerdict ResilientMonitor::step(const sim::StepRecord& record) {
           ++telemetry_.recoveries;
           telemetry_.recovery_latency_sum += telemetry_.cycles_total - degraded_since_;
           degraded_since_ = -1;
-          v = ml_verdict();
+          v = ml_verdict(record);
         } else {
           v = rule_verdict(record);
         }

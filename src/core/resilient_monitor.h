@@ -17,7 +17,9 @@
 // alarm-on: with no trustworthy input for too long, the only safe output is
 // "unsafe". The ML path re-arms only after `rearm_clean_cycles` consecutive
 // valid samples AND a fully refilled feature window (effective threshold
-// max(rearm_clean_cycles, window)).
+// max(rearm_clean_cycles, window)). While ML_ACTIVE, a window that
+// nn::decide refuses (a non-finite feature the validator does not check)
+// gets that cycle's rule verdict instead, with no state change.
 #pragma once
 
 #include <optional>
@@ -134,7 +136,9 @@ class ResilientMonitor {
 
  private:
   void enter_degraded();
-  [[nodiscard]] ResilientVerdict ml_verdict();
+  /// nn::decide on the scaled history window; `r`'s Table-I verdict when
+  /// the rule refuses it (kNoVerdict), with no state change.
+  [[nodiscard]] ResilientVerdict ml_verdict(const sim::StepRecord& r);
   [[nodiscard]] ResilientVerdict rule_verdict(const sim::StepRecord& r) const;
   void push_history(const sim::StepRecord& r);
 

@@ -1,8 +1,11 @@
 #include "nn/classifier.h"
 
+#include <string>
+
 #include "nn/activations.h"
 #include "nn/dense.h"
 #include "util/contracts.h"
+#include "util/error.h"
 
 namespace cpsguard::nn {
 
@@ -31,12 +34,13 @@ std::vector<int> predict_classes(const Classifier& clf, const Tensor3& x) {
   const Matrix probs = clf.predict_proba(x);
   std::vector<int> out(static_cast<std::size_t>(probs.rows()));
   for (int r = 0; r < probs.rows(); ++r) {
-    const auto row = probs.row(r);
-    int best = 0;
-    for (int c = 1; c < probs.cols(); ++c) {
-      if (row[static_cast<std::size_t>(c)] > row[static_cast<std::size_t>(best)]) best = c;
+    const int verdict = decide(x.window(r), probs.row(r));
+    if (verdict == kNoVerdict) {
+      throw CpsError("predict_classes: window " + std::to_string(r) +
+                     " or its probabilities are not finite; an offline batch "
+                     "has no slot for a missing verdict");
     }
-    out[static_cast<std::size_t>(r)] = best;
+    out[static_cast<std::size_t>(r)] = verdict;
   }
   return out;
 }

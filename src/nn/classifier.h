@@ -86,7 +86,9 @@ class Classifier {
   void zero_grad();
 };
 
-/// Argmax over predict_proba rows.
+/// nn::decide over every window and its predict_proba row. Throws CpsError
+/// naming the first window that gets no verdict (non-finite input or
+/// probabilities).
 std::vector<int> predict_classes(const Classifier& clf, const Tensor3& x);
 
 /// Multi-layer perceptron over the flattened window.

@@ -127,7 +127,8 @@ float Matrix::sum() const {
 }
 
 std::string Matrix::shape_str() const {
-  return "[" + std::to_string(rows_) + "x" + std::to_string(cols_) + "]";
+  return std::string("[").append(std::to_string(rows_)).append("x")
+      .append(std::to_string(cols_)).append("]");
 }
 
 bool operator==(const Matrix& a, const Matrix& b) {
@@ -428,6 +429,19 @@ Matrix softmax_rows(const Matrix& logits) {
       dst[j] = static_cast<float>(dst[j] / denom);
   }
   return probs;
+}
+
+int decide(std::span<const float> window, std::span<const float> probs) {
+  expects(!probs.empty(), "decision over an empty probability row");
+  bool finite = true;
+  for (const float v : window) finite &= std::isfinite(v);
+  for (const float v : probs) finite &= std::isfinite(v);
+  if (!finite) return kNoVerdict;
+  std::size_t best = 0;
+  for (std::size_t c = 1; c < probs.size(); ++c) {
+    if (probs[c] > probs[best]) best = c;
+  }
+  return static_cast<int>(best);
 }
 
 }  // namespace cpsguard::nn

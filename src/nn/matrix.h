@@ -89,4 +89,19 @@ Matrix hadamard(const Matrix& a, const Matrix& b);
 /// Row-wise softmax (numerically stabilized with the row max).
 Matrix softmax_rows(const Matrix& logits);
 
+/// decide()'s answer when it refuses to classify.
+inline constexpr int kNoVerdict = -1;
+
+/// The one decision rule that turns a scored window into a verdict, used by
+/// every offline predict, the streaming engine and the online monitors.
+/// `window` is the input the model scored (in its scaled space) and `probs`
+/// that window's probability row. Returns the argmax class, ties going to
+/// the smallest index (a strict `>` scan: an exactly tied binary row is the
+/// safe class 0), or kNoVerdict when any window value or probability is NaN
+/// or ±inf. The input is checked, not only the output, because an MLP's
+/// ReLU maps a NaN feature to 0 and so scores finite probabilities for a
+/// window that holds no data.
+[[nodiscard]] int decide(std::span<const float> window,
+                         std::span<const float> probs);
+
 }  // namespace cpsguard::nn

@@ -29,6 +29,18 @@ float Tensor3::at(int b, int t, int f) const {
   return const_cast<Tensor3*>(this)->at(b, t, f);
 }
 
+std::span<float> Tensor3::window(int b) {
+  expects(b >= 0 && b < batch_, "tensor window out of range");
+  const auto floats = static_cast<std::size_t>(time_) *
+                      static_cast<std::size_t>(features_);
+  return std::span<float>(data_).subspan(static_cast<std::size_t>(b) * floats,
+                                         floats);
+}
+
+std::span<const float> Tensor3::window(int b) const {
+  return const_cast<Tensor3*>(this)->window(b);
+}
+
 std::span<float> Tensor3::row(int b, int t) {
   expects(b >= 0 && b < batch_ && t >= 0 && t < time_, "tensor row out of range");
   return std::span<float>(data_).subspan(

@@ -26,6 +26,10 @@ class Tensor3 {
   [[nodiscard]] std::span<float> data() { return data_; }
   [[nodiscard]] std::span<const float> data() const { return data_; }
 
+  /// View of batch entry b's whole window (time * features floats).
+  [[nodiscard]] std::span<float> window(int b);
+  [[nodiscard]] std::span<const float> window(int b) const;
+
   /// View of one (batch, time) feature row.
   [[nodiscard]] std::span<float> row(int b, int t);
   [[nodiscard]] std::span<const float> row(int b, int t) const;

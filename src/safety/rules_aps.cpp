@@ -9,7 +9,8 @@ namespace {
 using F = StlFormula;
 
 F::Ptr action_atom(sim::ControlAction a) {
-  const std::string name = "u" + std::to_string(static_cast<int>(a) + 1);
+  const std::string name =
+      std::string("u").append(std::to_string(static_cast<int>(a) + 1));
   return F::atom(name, Cmp::kGt, 0.5);
 }
 
@@ -93,7 +94,7 @@ SignalTrace context_signals(const WindowContext& ctx) {
   st.add_signal("dBG", {ctx.d_bg});
   st.add_signal("dIOB", {ctx.d_iob});
   for (int a = 0; a < sim::kNumActions; ++a) {
-    st.add_signal("u" + std::to_string(a + 1),
+    st.add_signal(std::string("u").append(std::to_string(a + 1)),
                   {a == static_cast<int>(ctx.action) ? 1.0 : 0.0});
   }
   return st;

@@ -4,6 +4,7 @@
 #include <utility>
 
 #include "monitor/features.h"
+#include "nn/matrix.h"
 #include "obs/events.h"
 #include "obs/metrics.h"
 #include "obs/span.h"
@@ -53,11 +54,7 @@ struct ServeMetrics {
 // row.
 void stage_row(const RingWindow& ring, const monitor::MlMonitor& mon,
                nn::Tensor3& batch, int row) {
-  expects(row < batch.batch(), "staged row past the end of the micro-batch");
-  const auto row_floats =
-      static_cast<std::size_t>(batch.time() * batch.features());
-  ring.copy_ordered(batch.data().subspan(
-      static_cast<std::size_t>(row) * row_floats, row_floats));
+  ring.copy_ordered(batch.window(row));
   for (int t = 0; t < batch.time(); ++t) {
     mon.scaler().transform_row(batch.row(row, t));
   }
@@ -158,8 +155,7 @@ void SessionShard::flush_locked() {
   for (int r = 0; r < n; ++r) {
     VerdictEvent& ev = pending_[static_cast<std::size_t>(r)];
     ev.p_unsafe = probs.at(r, 1);
-    // Same rule as core::OnlineMonitor: ties resolve to the safe class.
-    ev.prediction = probs.at(r, 1) > probs.at(r, 0) ? 1 : 0;
+    ev.prediction = nn::decide(batch_.window(r), probs.row(r));
     // Batch purity by construction: the whole batch is scored by the one
     // monitor active at this flush, so every event of the (shard,
     // flush_seq) group carries the same version.
@@ -176,7 +172,7 @@ void SessionShard::flush_locked() {
     std::uint64_t disagree = 0;
     for (int r = 0; r < n; ++r) {
       const int shadow_pred =
-          shadow_probs.at(r, 1) > shadow_probs.at(r, 0) ? 1 : 0;
+          nn::decide(shadow_batch_.window(r), shadow_probs.row(r));
       if (shadow_pred != pending_[static_cast<std::size_t>(r)].prediction) {
         ++disagree;
       }

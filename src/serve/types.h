@@ -93,7 +93,11 @@ struct VerdictEvent {
   /// 0-based per-session cycle index of the window's last record; the first
   /// event of a session carries cycle == window - 1.
   int cycle = 0;
-  int prediction = 0;   // 1 = unsafe control action (OnlineMonitor semantics)
+  /// nn::decide's verdict: 1 = unsafe control action, 0 = safe, and
+  /// nn::kNoVerdict (-1) when the staged window or its probabilities hold a
+  /// NaN or ±inf. A refused window still emits its event, never as 0, and
+  /// keeps the p_unsafe its model scored (which may itself be NaN).
+  int prediction = 0;
   double p_unsafe = 0.0;
   /// Engine tick index (completed tick() calls) at the moment the window's
   /// last record was ingested. `drain tick - ingest_tick` is the verdict's

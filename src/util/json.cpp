@@ -372,12 +372,12 @@ std::string Json::dump(int indent) const {
 }
 
 void Json::dump_to(std::string& out, int indent, int depth) const {
-  const std::string pad =
-      indent > 0 ? "\n" + std::string(static_cast<std::size_t>(indent * (depth + 1)), ' ')
-                 : "";
-  const std::string close_pad =
-      indent > 0 ? "\n" + std::string(static_cast<std::size_t>(indent * depth), ' ')
-                 : "";
+  std::string pad;
+  std::string close_pad;
+  if (indent > 0) {
+    pad.assign(1, '\n').append(static_cast<std::size_t>(indent * (depth + 1)), ' ');
+    close_pad.assign(1, '\n').append(static_cast<std::size_t>(indent * depth), ' ');
+  }
   switch (kind_) {
     case Kind::kNull:
       out += "null";

@@ -1,18 +1,22 @@
-// Batched-inference contract suite: the argmax tie-break/NaN policy and
-// the "deciding not to parallelize must not instantiate the pool" fix.
+// Decision-rule and batched-inference suite: nn::decide's tie-break and
+// non-finite refusal, MlMonitor::predict's rejection of a window that gets
+// no verdict, and the "deciding not to parallelize must not instantiate
+// the pool" fix.
 //
 // The fixture builds its tiny monitor directly from closed-loop traces
 // (no Experiment) so nothing here fans out on the shared pool — which is
 // exactly what SerialConfigurationDoesNotInstantiatePool asserts.
-#include "eval/batch_eval.h"
-
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstddef>
 #include <limits>
+#include <string>
 #include <vector>
 
 #include "monitor/dataset.h"
+#include "monitor/ml_monitor.h"
+#include "nn/matrix.h"
 #include "sim/closed_loop.h"
 #include "util/contracts.h"
 #include "util/error.h"
@@ -57,9 +61,9 @@ monitor::MlMonitor& tiny_monitor() {
   return mon;
 }
 
-// NaN end-to-end requires the LSTM: the MLP's ReLU (`v > 0 ? v : 0`)
-// silently launders a NaN pre-activation into 0, while tanh/sigmoid
-// propagate it to the softmax.
+// NaN probabilities need the LSTM: the MLP's ReLU (`v > 0 ? v : 0`)
+// launders a NaN pre-activation into 0, while tanh/sigmoid propagate it to
+// the softmax.
 monitor::MlMonitor& tiny_lstm_monitor() {
   static monitor::MlMonitor mon = [] {
     monitor::MonitorConfig cfg;
@@ -75,25 +79,35 @@ monitor::MlMonitor& tiny_lstm_monitor() {
 }
 
 constexpr float kNan = std::numeric_limits<float>::quiet_NaN();
+constexpr float kInf = std::numeric_limits<float>::infinity();
 
-TEST(ArgmaxRow, TiesBreakToSmallestClassIndex) {
-  // Documented contract: strict `>` scan, so the first of the maxima wins
-  // — an exactly-tied binary row classifies as the safe class 0, the same
-  // rule as nn::predict_classes / MlMonitor::predict.
-  EXPECT_EQ(argmax_row(std::vector<float>{0.5f, 0.5f}), 0);
-  EXPECT_EQ(argmax_row(std::vector<float>{0.2f, 0.4f, 0.4f}), 1);
-  EXPECT_EQ(argmax_row(std::vector<float>{0.4f, 0.2f, 0.4f}), 0);
-  EXPECT_EQ(argmax_row(std::vector<float>{0.1f, 0.9f}), 1);
+// A finite window of the paper's shape (6 steps x 9 features).
+const std::vector<float> kWindow(54, 0.25f);
+
+TEST(Decide, TiesBreakToSmallestClassIndex) {
+  // Strict `>` scan, so the first of the maxima wins: an exactly tied
+  // binary row classifies as the safe class 0.
+  EXPECT_EQ(nn::decide(kWindow, std::vector<float>{0.5f, 0.5f}), 0);
+  EXPECT_EQ(nn::decide(kWindow, std::vector<float>{0.2f, 0.4f, 0.4f}), 1);
+  EXPECT_EQ(nn::decide(kWindow, std::vector<float>{0.4f, 0.2f, 0.4f}), 0);
+  EXPECT_EQ(nn::decide(kWindow, std::vector<float>{0.1f, 0.9f}), 1);
 }
 
-TEST(ArgmaxRow, NanThrowsTypedErrorInAnyPosition) {
-  // Pre-fix behaviour: NaN lost every `>` comparison, so a NaN row
-  // silently classified as class 0 — an accept-then-corrupt violation of
-  // the PR 5 NaN policy.
-  EXPECT_THROW(argmax_row(std::vector<float>{kNan, 0.5f}), CpsError);
-  EXPECT_THROW(argmax_row(std::vector<float>{0.5f, kNan}), CpsError);
-  EXPECT_THROW(argmax_row(std::vector<float>{kNan, kNan}), CpsError);
-  EXPECT_THROW(argmax_row(std::vector<float>{}), ContractViolation);
+TEST(Decide, NonFiniteAnywhereIsNoVerdict) {
+  // A NaN loses every `>` comparison, so a bare argmax would classify a NaN
+  // row, or a window of no data, as class 0.
+  for (const float bad : {kNan, kInf, -kInf}) {
+    EXPECT_EQ(nn::decide(kWindow, std::vector<float>{bad, 0.5f}), nn::kNoVerdict);
+    EXPECT_EQ(nn::decide(kWindow, std::vector<float>{0.5f, bad}), nn::kNoVerdict);
+    EXPECT_EQ(nn::decide(kWindow, std::vector<float>{bad, bad}), nn::kNoVerdict);
+    for (const std::size_t i : {std::size_t{0}, std::size_t{26}, std::size_t{53}}) {
+      std::vector<float> window = kWindow;
+      window[i] = bad;
+      EXPECT_EQ(nn::decide(window, std::vector<float>{0.1f, 0.9f}), nn::kNoVerdict)
+          << "window value " << i;
+    }
+  }
+  EXPECT_THROW((void)nn::decide(kWindow, std::vector<float>{}), ContractViolation);
 }
 
 TEST(BatchedPredict, NanWindowRejectedByContract) {
@@ -107,14 +121,39 @@ TEST(BatchedPredict, NanWindowRejectedByContract) {
   const nn::Matrix probs = mon.predict_proba(windows);
   EXPECT_TRUE(std::isnan(probs.at(1, 0)) || std::isnan(probs.at(1, 1)));
   // ... but classification must refuse it, not silently emit class 0.
-  EXPECT_THROW(eval::batched_predict(mon, windows), CpsError);
+  EXPECT_THROW((void)mon.predict(windows), CpsError);
+}
+
+TEST(BatchedPredict, MlpNanWindowWithFiniteProbabilitiesIsRejected) {
+  // The MLP's ReLU maps the NaN pre-activation to 0, so the probabilities
+  // are finite: only the input check can refuse this window.
+  monitor::MlMonitor& mon = tiny_monitor();
+  const monitor::Dataset& ds = tiny_dataset();
+  const std::vector<int> idx = {0, 1, 2};
+  nn::Tensor3 windows = ds.x.gather(idx);
+  windows.at(1, 2, 0) = kNan;
+  const nn::Matrix probs = mon.predict_proba(windows);
+  EXPECT_TRUE(std::isfinite(probs.at(1, 0)) && std::isfinite(probs.at(1, 1)));
+  try {
+    (void)mon.predict(windows);
+    ADD_FAILURE() << "a NaN window was classified";
+  } catch (const CpsError& e) {
+    EXPECT_NE(std::string(e.what()).find("window 1"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(BatchedPredict, MatchesMonitorPredictPath) {
   monitor::MlMonitor& mon = tiny_monitor();
   const monitor::Dataset& ds = tiny_dataset();
-  // Same tie-break rule end to end: argmax_row == MlMonitor::predict.
-  EXPECT_EQ(eval::batched_predict(mon, ds.x), mon.predict(ds.x));
+  // MlMonitor::predict is nn::decide over each scaled window and its row.
+  const nn::Tensor3 scaled = mon.scaler().transform(ds.x);
+  const nn::Matrix probs = mon.predict_proba_scaled(scaled);
+  std::vector<int> decided;
+  for (int r = 0; r < ds.size(); ++r) {
+    decided.push_back(nn::decide(scaled.window(r), probs.row(r)));
+  }
+  EXPECT_EQ(mon.predict(ds.x), decided);
 }
 
 TEST(BatchedPredict, SerialConfigurationDoesNotInstantiatePool) {

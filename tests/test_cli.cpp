@@ -54,20 +54,20 @@ TEST(Cli, RejectsPositionalArguments) {
 // / std::stod, which accepted trailing garbage ("--threads=4x" parsed as 4)
 // and threw untyped std::invalid_argument / std::out_of_range on junk.
 TEST(Cli, TypedGettersRejectTrailingGarbage) {
-  EXPECT_THROW(make_cli({"--threads=4x"}).get_int("threads", 0), ParseError);
-  EXPECT_THROW(make_cli({"--rate=0.5pt"}).get_double("rate", 0.0), ParseError);
+  EXPECT_THROW((void)make_cli({"--threads=4x"}).get_int("threads", 0), ParseError);
+  EXPECT_THROW((void)make_cli({"--rate=0.5pt"}).get_double("rate", 0.0), ParseError);
 }
 
 TEST(Cli, TypedGettersRejectNonNumeric) {
-  EXPECT_THROW(make_cli({"--threads", "many"}).get_int("threads", 0), ParseError);
-  EXPECT_THROW(make_cli({"--rate", "."}).get_double("rate", 0.0), ParseError);
-  EXPECT_THROW(make_cli({"--threads="}).get_int("threads", 0), ParseError);
+  EXPECT_THROW((void)make_cli({"--threads", "many"}).get_int("threads", 0), ParseError);
+  EXPECT_THROW((void)make_cli({"--rate", "."}).get_double("rate", 0.0), ParseError);
+  EXPECT_THROW((void)make_cli({"--threads="}).get_int("threads", 0), ParseError);
 }
 
 TEST(Cli, TypedGettersRejectOutOfRange) {
-  EXPECT_THROW(make_cli({"--threads=9999999999999999999"}).get_int("threads", 0),
+  EXPECT_THROW((void)make_cli({"--threads=9999999999999999999"}).get_int("threads", 0),
                ParseError);
-  EXPECT_THROW(make_cli({"--rate=1e999"}).get_double("rate", 0.0), ParseError);
+  EXPECT_THROW((void)make_cli({"--rate=1e999"}).get_double("rate", 0.0), ParseError);
 }
 
 TEST(Cli, ParseErrorNamesTheFlagAndRawText) {

@@ -90,14 +90,14 @@ TEST(ConfigFile, ValueMayContainEquals) {
 // untyped std::invalid_argument / std::out_of_range.
 TEST(ConfigFile, TypedGettersRejectTrailingGarbage) {
   const auto cfg = ConfigFile::parse("threads = 4x\nrate = 0.5pt\n");
-  EXPECT_THROW(cfg.get_int("threads", 0), ParseError);
-  EXPECT_THROW(cfg.get_double("rate", 0.0), ParseError);
+  EXPECT_THROW((void)cfg.get_int("threads", 0), ParseError);
+  EXPECT_THROW((void)cfg.get_double("rate", 0.0), ParseError);
 }
 
 TEST(ConfigFile, TypedGettersRejectOutOfRange) {
   const auto cfg = ConfigFile::parse("k = 1e999\nn = 9999999999999999999\n");
-  EXPECT_THROW(cfg.get_double("k", 0.0), ParseError);
-  EXPECT_THROW(cfg.get_int("n", 0), ParseError);
+  EXPECT_THROW((void)cfg.get_double("k", 0.0), ParseError);
+  EXPECT_THROW((void)cfg.get_int("n", 0), ParseError);
 }
 
 TEST(ConfigFile, ParseErrorNamesKeyAndRawText) {

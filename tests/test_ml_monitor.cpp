@@ -1,6 +1,5 @@
 #include "monitor/ml_monitor.h"
 
-#include "eval/batch_eval.h"
 #include "monitor/features.h"
 
 #include <gtest/gtest.h>
@@ -19,6 +18,7 @@
 #include "nn/dense.h"
 #include "nn/gru.h"
 #include "nn/lstm.h"
+#include "nn/matrix.h"
 #include "registry/model_io.h"
 #include "registry/registry.h"
 #include "sim/closed_loop.h"
@@ -181,7 +181,13 @@ TEST(BatchEval, ChunkedPredictProbaMatchesSingleCall) {
           << "window " << b0 + r;
     }
   }
-  EXPECT_EQ(eval::batched_predict(mon, ds.x), mon.predict(ds.x));
+  // predict is nn::decide over each scaled window and its probability row.
+  const nn::Tensor3 scaled = mon.scaler().transform(ds.x);
+  std::vector<int> decided;
+  for (int r = 0; r < ds.size(); ++r) {
+    decided.push_back(nn::decide(scaled.window(r), whole.row(r)));
+  }
+  EXPECT_EQ(mon.predict(ds.x), decided);
 }
 
 // Four threads score on one shared const monitor — MLP, LSTM, GRU and a

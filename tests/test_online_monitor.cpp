@@ -4,10 +4,12 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <limits>
 #include <new>
 
 #include "core/experiment.h"
 #include "monitor/features.h"
+#include "nn/matrix.h"
 #include "util/contracts.h"
 
 // Allocation-regression instrumentation: replace the global allocation
@@ -106,6 +108,32 @@ TEST_F(OnlineMonitorTest, ResetForgetsHistory) {
   EXPECT_EQ(online.cycles_seen(), 0);
   const auto v = online.step(trace.steps[0]);
   EXPECT_FALSE(v.ready);
+}
+
+TEST_F(OnlineMonitorTest, NonFiniteRecordGetsNoVerdictWhileInWindow) {
+  // Every window holding the faulted record is refused, never verdicted
+  // safe, although the MLP's ReLU maps a NaN feature to 0. Windows after it
+  // are judged again.
+  auto& mon = exp_.monitor(mlp_);
+  const int window = exp_.config().dataset.window;
+  const sim::Trace& trace = exp_.test_traces().front();
+  ASSERT_GE(trace.length(), 3 * window);
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(),
+                           std::numeric_limits<double>::infinity()}) {
+    OnlineMonitor online(mon, window);
+    const int fault = window + 1;
+    for (int t = 0; t < 3 * window; ++t) {
+      sim::StepRecord rec = trace.steps[static_cast<std::size_t>(t)];
+      if (t == fault) rec.sensor_bg = bad;
+      const auto v = online.step(rec);
+      if (!v.ready) continue;
+      if (t >= fault && t < fault + window) {
+        EXPECT_EQ(v.prediction, nn::kNoVerdict) << "cycle " << t;
+      } else {
+        EXPECT_TRUE(v.prediction == 0 || v.prediction == 1) << "cycle " << t;
+      }
+    }
+  }
 }
 
 TEST_F(OnlineMonitorTest, WindowingPathDoesNotAllocate) {

@@ -167,7 +167,7 @@ TEST(StlProperty, RobustnessSignAgreesWithBooleanSemantics) {
     for (int s = 0; s < 3; ++s) {
       std::vector<double> values(8);
       for (double& v : values) v = rng.uniform(-1.5, 1.5);
-      st.add_signal("s" + std::to_string(s), std::move(values));
+      st.add_signal(std::string("s").append(std::to_string(s)), std::move(values));
     }
     const auto f = random_formula(rng, 3);
     for (int t = 0; t < st.length(); ++t) {

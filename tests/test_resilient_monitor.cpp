@@ -133,6 +133,37 @@ TEST_F(ResilientMonitorTest, NaNSampleDegradesToRuleFallback) {
   EXPECT_EQ(rm.telemetry().non_finite, 1);
 }
 
+TEST_F(ResilientMonitorTest, NonFiniteUncheckedFeatureGetsRuleVerdictInPlace) {
+  // The validator checks the sensor fields, not the commanded rate. A NaN
+  // rate reaches the ML window; nn::decide refuses every window holding it,
+  // and each of those cycles takes its own Table-I verdict with no state
+  // change.
+  ResilientMonitor rm(*ml_, config());
+  const int window = config().window;
+  feed_clean(rm, 0, window);
+  sim::StepRecord faulted = unsafe_record(window);
+  faulted.commanded_rate = kNan;
+  const auto v = rm.step(faulted);
+  EXPECT_EQ(v.state, MonitorState::kMlActive);
+  EXPECT_EQ(v.sample_fault, SampleFault::kNone);
+  EXPECT_TRUE(v.ready);
+  EXPECT_TRUE(v.from_fallback);
+  EXPECT_EQ(v.prediction, 1);  // rule 10 fires on this cycle's record
+  for (int t = window + 1; t < 3 * window; ++t) {
+    const auto c = rm.step(clean_record(t));
+    EXPECT_EQ(c.state, MonitorState::kMlActive) << "cycle " << t;
+    EXPECT_TRUE(c.ready) << "cycle " << t;
+    // The faulted record leaves the window after `window` cycles.
+    EXPECT_EQ(c.from_fallback, t < 2 * window) << "cycle " << t;
+    if (c.from_fallback) {
+      EXPECT_EQ(c.prediction, 0) << "cycle " << t;
+    }
+  }
+  EXPECT_EQ(rm.telemetry().fallback_entries, 0);
+  EXPECT_EQ(rm.telemetry().invalid_samples, 0);
+  EXPECT_EQ(rm.telemetry().cycles_ml, rm.telemetry().cycles_total);
+}
+
 TEST_F(ResilientMonitorTest, OutOfRangeSampleDegrades) {
   ResilientMonitor rm(*ml_, config());
   feed_clean(rm, 0, config().window);

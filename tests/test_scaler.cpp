@@ -154,7 +154,7 @@ TEST(Scaler, UnfittedOperationsThrow) {
   EXPECT_FALSE(scaler.fitted());
   nn::Tensor3 x(1, 1, 1);
   EXPECT_THROW(scaler.transform(x), cpsguard::ContractViolation);
-  EXPECT_THROW(scaler.std_of(0), cpsguard::ContractViolation);
+  EXPECT_THROW((void)scaler.std_of(0), cpsguard::ContractViolation);
   std::stringstream ss;
   EXPECT_THROW(scaler.save(ss), cpsguard::ContractViolation);
 }

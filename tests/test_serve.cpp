@@ -5,8 +5,9 @@
 // mid-stream hot-swap + rollback segment), live model hot-swap (epoch
 // boundary latency, no-op self-swap oracle, shadow scoring, rollback,
 // registry-driven swap, swaps across scalers), refusal of a monitor whose
-// window shape does not match the engine, and concurrent ingest (the TSan
-// CI job runs this binary).
+// window shape does not match the engine, no verdict for a window holding a
+// non-finite value, and concurrent ingest (the TSan CI job runs this
+// binary).
 //
 // Re-bless the replay golden after an intentional model/output change:
 //   CPSGUARD_BLESS=1 ./build/tests/test_serve
@@ -18,6 +19,7 @@
 #include <cstring>
 #include <filesystem>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <sstream>
 #include <thread>
@@ -27,6 +29,7 @@
 #include "core/experiment.h"
 #include "core/online_monitor.h"
 #include "monitor/features.h"
+#include "nn/matrix.h"
 #include "obs/sha256.h"
 #include "registry/registry.h"
 #include "serve/stable_hash.h"
@@ -758,6 +761,68 @@ TEST_F(ServeTest, RefusesMonitorOfAnotherWindowShape) {
   EXPECT_EQ(engine.stats().swaps, 0u);
   EXPECT_EQ(engine.stats().shadow_windows, 0u);
   fs::remove_all(dir);
+}
+
+// ---- non-finite input -------------------------------------------------------
+
+TEST_F(ServeTest, NonFiniteWindowsGetNoVerdict) {
+  // Every tenth record of each test trace carries a non-finite value —
+  // mostly a NaN sensor_bg, some ±inf — and each trace is one session. A
+  // window holding one must be refused (nn::kNoVerdict), never verdicted
+  // safe; every other window keeps its clean-replay verdict, bit for bit.
+  const auto faulted = [](int t) { return t % 10 == 0; };
+  const auto corrupt = [](sim::StepRecord& rec, int t) {
+    switch (t % 30) {
+      case 10: rec.iob = std::numeric_limits<double>::infinity(); break;
+      case 20: rec.commanded_rate = -std::numeric_limits<double>::infinity(); break;
+      default: rec.sensor_bg = std::numeric_limits<double>::quiet_NaN(); break;
+    }
+  };
+  const core::MonitorVariant lstm{monitor::Arch::kLstm, false};
+  for (const core::MonitorVariant& variant : {mlp_, lstm}) {
+    SCOPED_TRACE(variant.name());
+    const auto replay = [&](bool with_faults) {
+      EngineConfig cfg;
+      cfg.window = window();
+      Engine engine(exp_.monitor(variant), cfg);
+      std::map<std::pair<SessionId, int>, VerdictEvent> out;
+      const auto& traces = exp_.test_traces();
+      for (int t = 0; t < traces.front().length(); ++t) {
+        for (std::size_t s = 0; s < traces.size(); ++s) {
+          if (t >= traces[s].length()) continue;
+          sim::StepRecord rec = traces[s].steps[static_cast<std::size_t>(t)];
+          if (with_faults && faulted(t)) corrupt(rec, t);
+          engine.submit(s + 1, rec);
+        }
+        for (const auto& ev : engine.tick()) {
+          out.emplace(std::make_pair(ev.session, ev.cycle), ev);
+        }
+      }
+      return out;
+    };
+    const auto clean = replay(false);
+    const auto got = replay(true);
+    ASSERT_EQ(got.size(), clean.size());
+    int refused = 0;
+    for (const auto& [key, ev] : got) {
+      bool holds_fault = false;
+      for (int t = key.second - window() + 1; t <= key.second; ++t) {
+        holds_fault |= faulted(t);
+      }
+      if (holds_fault) {
+        EXPECT_EQ(ev.prediction, nn::kNoVerdict)
+            << "session " << key.first << " cycle " << key.second;
+        ++refused;
+      } else {
+        const VerdictEvent& ref = clean.at(key);
+        EXPECT_EQ(ev.prediction, ref.prediction)
+            << "session " << key.first << " cycle " << key.second;
+        EXPECT_EQ(ev.p_unsafe, ref.p_unsafe);
+      }
+    }
+    EXPECT_GT(refused, 0);
+    EXPECT_LT(refused, static_cast<int>(got.size()));
+  }
 }
 
 // ---- concurrent ingest -----------------------------------------------------

@@ -34,8 +34,8 @@ TEST(SignalTrace, RejectsUnequalLengths) {
 
 TEST(SignalTrace, RejectsUnknownSignalAndBadIndex) {
   const SignalTrace st = make_trace();
-  EXPECT_THROW(st.value("nope", 0), cpsguard::ContractViolation);
-  EXPECT_THROW(st.value("x", 5), cpsguard::ContractViolation);
+  EXPECT_THROW((void)st.value("nope", 0), cpsguard::ContractViolation);
+  EXPECT_THROW((void)st.value("x", 5), cpsguard::ContractViolation);
 }
 
 TEST(StlAtom, ComparisonSemantics) {
